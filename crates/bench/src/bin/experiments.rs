@@ -1,4 +1,5 @@
-//! Regenerates every figure/claim table recorded in EXPERIMENTS.md.
+//! Regenerates every figure/claim table whose numbers are recorded in
+//! `BENCH_experiments.json`.
 //!
 //! Usage: `cargo run -p marea-bench --release --bin experiments [-- <id>...]`
 //! where `<id>` is one of `f1 f2 f3 f4 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10
@@ -14,10 +15,8 @@
 //! the repo root regenerate with
 //! `cargo run -p marea-bench --release --bin experiments -- --json all .`
 //! (`BENCH_experiments.json`, `BENCH_fec_loss.json`,
-//! `BENCH_trace_overhead.json`, `BENCH_swarm_scale.json`). The
-//! pre-unification spellings
-//! `--json <path>`, `--json-fec <path>` and `--json-trace <path>` are
-//! kept as deprecated aliases for `--json suite|fec|trace <path>`.
+//! `BENCH_trace_overhead.json`, `BENCH_swarm_scale.json`). Any other
+//! section, or any other `--` option, is a usage error (exit code 2).
 
 use marea_bench::*;
 use marea_core::SchedulerKind;
@@ -49,40 +48,26 @@ fn main() {
     let mut json_requests: Vec<(JsonSection, String)> = Vec::new();
     let mut args: Vec<String> = Vec::new();
     let mut raw = std::env::args().skip(1);
-    let missing = |flag: &str| -> ! {
-        eprintln!("error: {flag} needs an output path");
+    let usage = |why: &str| -> ! {
+        eprintln!("error: {why}");
         std::process::exit(2);
     };
+    let missing = |flag: &str| -> ! { usage(&format!("{flag} needs an output path")) };
     while let Some(a) = raw.next() {
         match a.as_str() {
-            "--json" => match raw.next() {
-                Some(tok) => match JsonSection::parse(&tok) {
-                    Some(section) => match raw.next() {
-                        Some(path) => json_requests.push((section, path)),
-                        None => missing(&format!("--json {tok}")),
-                    },
-                    // Deprecated alias: a bare path means the full suite.
-                    None => {
-                        eprintln!("note: `--json <path>` is deprecated; use `--json suite <path>`");
-                        json_requests.push((JsonSection::Suite, tok));
-                    }
-                },
-                None => missing("--json"),
-            },
-            "--json-fec" => match raw.next() {
-                Some(path) => {
-                    eprintln!("note: `--json-fec` is deprecated; use `--json fec <path>`");
-                    json_requests.push((JsonSection::Fec, path));
+            "--json" => {
+                let Some(tok) = raw.next() else { missing("--json") };
+                let Some(section) = JsonSection::parse(&tok) else {
+                    usage(&format!(
+                        "unknown --json section `{tok}` (expected suite, fec, trace, swarm or all)"
+                    ))
+                };
+                match raw.next() {
+                    Some(path) => json_requests.push((section, path)),
+                    None => missing(&format!("--json {tok}")),
                 }
-                None => missing("--json-fec"),
-            },
-            "--json-trace" => match raw.next() {
-                Some(path) => {
-                    eprintln!("note: `--json-trace` is deprecated; use `--json trace <path>`");
-                    json_requests.push((JsonSection::Trace, path));
-                }
-                None => missing("--json-trace"),
-            },
+            }
+            _ if a.starts_with("--") => usage(&format!("unknown option `{a}`")),
             _ => args.push(a),
         }
     }

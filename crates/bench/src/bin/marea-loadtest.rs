@@ -19,7 +19,7 @@ use std::process::ExitCode;
 
 use marea_bench::loadtest::{
     compare_overall, report_json, run_loadtest, LoadtestConfig, LoadtestReport, Workload,
-    GOODPUT_DROP_PCT, P99_RISE_PCT,
+    GOODPUT_DROP_PCT, P99_RISE_PCT, TICK_US,
 };
 
 fn usage() -> ExitCode {
@@ -114,6 +114,16 @@ fn run(
         }
         if cfg.windows == 0 || cfg.window_ms == 0 {
             return Err("--windows and --window-ms must be positive".into());
+        }
+        // Each source sends at most once per harness tick, so a faster
+        // rate would silently run at the tick rate.
+        let max_rate = 1_000_000 / TICK_US;
+        if !(1..=max_rate).contains(&cfg.rate_hz) {
+            return Err(format!(
+                "--rate must be 1..={max_rate} Hz (one send per source per {TICK_US} us tick), \
+                 got {}",
+                cfg.rate_hz
+            ));
         }
         let report = run_loadtest(&cfg);
         if let Some(dir) = out_dir {
@@ -212,6 +222,20 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("marea-loadtest: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn out_of_range_rates_are_rejected() {
+        for rate in [0, 1_000_000 / TICK_US + 1] {
+            let err = run(&[Workload::EventFlood], &[("--rate".into(), rate)], None, None)
+                .expect_err("rate outside 1..=2000 Hz must be refused");
+            assert!(err.starts_with("--rate must be 1..=2000 Hz"), "{err}");
         }
     }
 }

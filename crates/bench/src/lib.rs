@@ -8,10 +8,10 @@
 //! Two consumers use this library:
 //!
 //! * the `experiments` binary prints paper-style tables (deterministic,
-//!   seed-driven — these are the numbers EXPERIMENTS.md records);
-//! * the Criterion benches in `benches/` measure the *wall-clock* cost of
-//!   the same scenarios (how expensive the middleware implementation is on
-//!   the host CPU).
+//!   seed-driven — these are the numbers `BENCH_experiments.json`
+//!   records);
+//! * the [`loadtest`] module and its `marea-loadtest` binary drive
+//!   rate-controlled workloads and record `BENCH_loadtest_*.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -1379,8 +1379,8 @@ pub fn bench_swarm_scale(seed: u64) -> Vec<SwarmScaleRow> {
 
 /// Wall-clock throughput of the identical [`bench_swarm_scale_row`]
 /// run: container ticks executed per host second inside the window.
-/// Machine-dependent by construction — EXPERIMENTS.md quotes it for the
-/// trajectory, the `--ignored` release floor test gates it in CI.
+/// Machine-dependent by construction, so no BENCH file records it; the
+/// `--ignored` release floor test gates it in CI.
 pub fn bench_swarm_ticks_per_sec(nodes: u32, seed: u64) -> f64 {
     let mut h = swarm_fleet(nodes, seed);
     h.start_all();
@@ -1415,6 +1415,48 @@ pub fn bench_discovery(n: u32, seed: u64) -> u64 {
         }
     }
     u64::MAX
+}
+
+/// Wall-clock overhead gate shared by the `--ignored` release tests.
+///
+/// Times `leg(false, rep)` (baseline) and `leg(true, rep)` (instrumented)
+/// in eight adjacent pairs after one warm-up pair, so clock-speed drift
+/// (turbo, thermal, noisy neighbours) hits both sides of each ratio
+/// equally, and asserts that the **median** paired ratio exceeds 1 by at
+/// most `bound`. A best-pair gate would let noise carry a real regression
+/// through; the median needs most pairs to agree.
+#[cfg(test)]
+pub(crate) fn assert_median_overhead_within(
+    gate: &str,
+    bound: f64,
+    mut leg: impl FnMut(bool, u64),
+) {
+    let mut time_once = |on: bool, rep: u64| {
+        // marea-lint: allow(D2): wall-clock gate — measuring the real cost of instrumentation is the point
+        let t0 = std::time::Instant::now();
+        leg(on, rep);
+        t0.elapsed().as_secs_f64()
+    };
+    time_once(false, 0);
+    time_once(true, 0);
+    let mut ratios: Vec<f64> = (1..=8)
+        .map(|rep| {
+            let off = time_once(false, rep);
+            time_once(true, rep) / off.max(1e-9)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let overhead = (ratios[3] + ratios[4]) / 2.0 - 1.0;
+    println!(
+        "{gate}: median paired overhead {:.2}% (sorted ratios {ratios:.3?})",
+        overhead * 100.0
+    );
+    assert!(
+        overhead <= bound,
+        "{gate}: median overhead {:.2}% exceeds {:.0}% (sorted ratios {ratios:.3?})",
+        overhead * 100.0,
+        bound * 100.0
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1641,35 +1683,8 @@ mod tests {
     #[test]
     #[ignore = "wall-clock measurement; CI runs it in release"]
     fn trace_overhead_stays_within_five_percent() {
-        let time_once = |traced: bool, rep: u64| {
-            // marea-lint: allow(D2): wall-clock gate — measuring the real cost of tracing is the point
-            let t0 = std::time::Instant::now();
+        assert_median_overhead_within("C10 gate (tracing)", 0.05, |traced, rep| {
             let _ = bench_trace_overhead_run(traced, 800, 100, 700 + rep);
-            t0.elapsed()
-        };
-        // Warm-up, then time the legs in adjacent off/on pairs so
-        // clock-speed drift (turbo, thermal, noisy CI neighbours) hits
-        // both sides of each ratio equally, and gate on the cleanest
-        // pair: ambient noise only inflates ratios at random, while a
-        // real regression inflates every pair.
-        let _ = (time_once(false, 0), time_once(true, 0));
-        let mut pairs = Vec::new();
-        for rep in 1..=8 {
-            let off = time_once(false, rep);
-            let on = time_once(true, rep);
-            pairs.push((on.as_secs_f64() / off.as_secs_f64().max(1e-9), on, off));
-        }
-        let (ratio, on, off) =
-            pairs.iter().cloned().min_by(|a, b| a.0.total_cmp(&b.0)).expect("8 pairs");
-        let overhead = ratio - 1.0;
-        println!(
-            "C10 gate: best-pair tracing overhead {:.2}% (traced {on:?}, untraced {off:?})",
-            overhead * 100.0
-        );
-        assert!(
-            overhead <= 0.05,
-            "C10 gate: tracing overhead {:.2}% exceeds 5% in every pair (best: traced {on:?}, untraced {off:?})",
-            overhead * 100.0
-        );
+        });
     }
 }

@@ -1003,33 +1003,8 @@ mod tests {
             sample_period_ms: if sampled { 2 } else { 0 },
             seed: 900 + rep,
         };
-        let time_once = |sampled: bool, rep: u64| {
-            // marea-lint: allow(D2): wall-clock gate — measuring the real cost of sampling is the point
-            let t0 = std::time::Instant::now();
+        crate::assert_median_overhead_within("metrics gate (sampling)", 0.05, |sampled, rep| {
             let _ = run_loadtest(&run_cfg(sampled, rep));
-            t0.elapsed()
-        };
-        // Warm-up, then adjacent off/on pairs; gate on the cleanest
-        // pair (ambient noise only inflates ratios at random, a real
-        // regression inflates every pair).
-        let _ = (time_once(false, 0), time_once(true, 0));
-        let mut pairs = Vec::new();
-        for rep in 1..=8 {
-            let off = time_once(false, rep);
-            let on = time_once(true, rep);
-            pairs.push((on.as_secs_f64() / off.as_secs_f64().max(1e-9), on, off));
-        }
-        let (ratio, on, off) =
-            pairs.iter().cloned().min_by(|a, b| a.0.total_cmp(&b.0)).expect("8 pairs");
-        let overhead = ratio - 1.0;
-        println!(
-            "metrics gate: best-pair sampling overhead {:.2}% (sampled {on:?}, unsampled {off:?})",
-            overhead * 100.0
-        );
-        assert!(
-            overhead <= 0.05,
-            "metrics gate: sampling overhead {:.2}% exceeds 5% in every pair",
-            overhead * 100.0
-        );
+        });
     }
 }

@@ -7,7 +7,6 @@ use marea_netsim::{NetConfig, SimNet};
 use marea_protocol::{Micros, NodeId, ProtoDuration};
 use marea_transport::SimLanTransport;
 
-use crate::clock::{Clock, SystemClock};
 use crate::container::{ContainerConfig, ServiceContainer};
 use crate::metrics::{MetricsConfig, MetricsSampler};
 use crate::service::Service;
@@ -462,55 +461,5 @@ impl SimHarness {
             }
             self.step();
         }
-    }
-}
-
-/// Drives one container against the wall clock (for the UDP transport and
-/// interactive examples).
-#[derive(Debug)]
-pub struct RealtimeDriver {
-    container: ServiceContainer,
-    clock: SystemClock,
-    tick: std::time::Duration,
-}
-
-impl RealtimeDriver {
-    /// Wraps a container; `tick` is the polling cadence (1 ms is typical).
-    pub fn new(container: ServiceContainer, tick: std::time::Duration) -> Self {
-        RealtimeDriver { container, clock: SystemClock::new(), tick }
-    }
-
-    /// Starts the container at the current wall time.
-    pub fn start(&mut self) {
-        let now = self.clock.now();
-        self.container.start(now);
-    }
-
-    /// Runs the tick loop for `duration`, sleeping between ticks.
-    pub fn run_for(&mut self, duration: std::time::Duration) {
-        // marea-lint: allow(D2): RealtimeDriver is the wall-clock driver; sim paths never run this
-        let deadline = std::time::Instant::now() + duration;
-        // marea-lint: allow(D2): RealtimeDriver is the wall-clock driver; sim paths never run this
-        while std::time::Instant::now() < deadline {
-            self.container.tick(self.clock.now());
-            // marea-lint: allow(D2): paces the wall-clock tick loop of the real-time driver
-            std::thread::sleep(self.tick);
-        }
-    }
-
-    /// Stops the container.
-    pub fn stop(&mut self) {
-        let now = self.clock.now();
-        self.container.stop(now);
-    }
-
-    /// Access to the wrapped container.
-    pub fn container(&self) -> &ServiceContainer {
-        &self.container
-    }
-
-    /// Mutable access to the wrapped container.
-    pub fn container_mut(&mut self) -> &mut ServiceContainer {
-        &mut self.container
     }
 }

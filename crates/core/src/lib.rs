@@ -21,8 +21,8 @@
 //!
 //! Services implement the [`Service`] trait and interact only through
 //! [`ServiceContext`]; the container is driven by
-//! [`ServiceContainer::tick`] from either the deterministic
-//! [`SimHarness`] or the wall-clock [`RealtimeDriver`].
+//! [`ServiceContainer::tick`], either from the deterministic
+//! [`SimHarness`] or from a wall-clock loop reading [`SystemClock`].
 //!
 //! Declarations and interactions are **typed**: the descriptor builder
 //! derives each provision's wire schema from a Rust type and returns a
@@ -100,18 +100,16 @@ mod stats;
 pub mod sweep;
 pub mod trace;
 
-pub use clock::{Clock, ManualClock, SystemClock};
+pub use clock::SystemClock;
 pub use container::{ContainerConfig, ServiceContainer, VarDistribution};
 pub use directory::{Directory, NodeInfo, ProviderInfo};
 pub use error::{CallError, ContainerError};
-pub use harness::{RealtimeDriver, ServiceFactory, SimHarness};
+pub use harness::{ServiceFactory, SimHarness};
 pub use link::ReliableLink;
 pub use metrics::{LatencySummary, LinkFrame, MetricsConfig, MetricsFrame, MetricsSampler};
 pub use ports::{EventPort, FnPort, TypedCallHandle, VarPort};
 pub use qos::{CallOptions, DropPolicy, EventQos, QosError, VarQos};
-pub use scheduler::{
-    FifoScheduler, Priority, PriorityScheduler, Scheduler, SchedulerKind, Task, TaskPayload,
-};
+pub use scheduler::{Priority, SchedulerKind};
 pub use service::{
     CallHandle, CallPolicy, EventSubscription, FileEvent, ProviderNotice, Service, ServiceContext,
     ServiceDescriptor, ServiceDescriptorBuilder, TimerId, VarSubscription,

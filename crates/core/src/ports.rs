@@ -2,20 +2,19 @@
 //! provisions and subscriptions.
 //!
 //! The paper's container promises that services interact only through a
-//! validated API surface (§3). The dynamic [`ServiceContext::publish`]
-//! string API validates at *runtime*; ports move that check to *compile
-//! time*: a port is created from (or together with) the descriptor
-//! declaration, carries the provision's [`Name`] and its Rust payload
-//! type, and is the only thing the typed context methods accept. A service
+//! validated API surface (§3). Ports move that check to *compile time*: a
+//! port is created from (or together with) the descriptor declaration,
+//! carries the provision's [`Name`] and its Rust payload type, and is the
+//! only thing the typed context methods accept. A service
 //! holding a `VarPort<u64>` cannot publish an `f64` — the program does not
 //! compile.
 //!
 //! Ports are plain data (name + phantom type): cheap to clone, freely
 //! shareable between the producer and consumer sides of a contract (see
 //! `marea-services`' `names` module for a shared mission vocabulary built
-//! this way).
-//!
-//! [`ServiceContext::publish`]: crate::ServiceContext::publish
+//! this way). A port built by hand with the wrong type parameter still
+//! compiles; the container's runtime schema guards drop and count what it
+//! sends ([`ContainerStats::type_mismatches`](crate::ContainerStats)).
 
 use std::fmt;
 use std::marker::PhantomData;

@@ -2,9 +2,9 @@
 //!
 //! The MAREA codebase carries guarantees that `rustc` cannot see:
 //! bit-identical replay requires every wire-send sweep to walk sorted
-//! keys, the sim must never read the wall clock, the deprecated dynamic
-//! string API must not creep back in, and protocol/container hot paths
-//! must not panic. This crate turns those conventions into machine
+//! keys, the sim must never read the wall clock, protocol/container hot
+//! paths must not panic, and the record and sample paths must not
+//! allocate strings. This crate turns those conventions into machine
 //! checks: a dependency-free lexer (no `syn`) scrubs each `.rs` file,
 //! tokenizes it, and runs the rule set in [`rules`] with span-accurate
 //! diagnostics.
@@ -192,7 +192,7 @@ fn json_str(s: &str) -> String {
 
 // ---- waiver / pragma parsing -------------------------------------------
 
-const VALID_RULES: &[&str] = &["D1", "D2", "Q1", "R1", "O1"];
+const VALID_RULES: &[&str] = &["D1", "D2", "R1", "O1"];
 
 enum Directive {
     Allow { rules: Vec<String>, reason: String },

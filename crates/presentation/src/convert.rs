@@ -31,7 +31,7 @@ use crate::value::Value;
 /// Unlike a plain [`TypeError`](crate::TypeError), this error pairs the
 /// *declared* schema with the *observed* value kind, which is the
 /// information a service needs to log a useful diagnostic when a peer (or
-/// the compat string API) sends the wrong shape.
+/// a mistyped port) sends the wrong shape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TypeMismatch {
     expected: Option<DataType>,

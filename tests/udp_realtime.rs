@@ -5,8 +5,8 @@
 use std::sync::{Arc, Mutex};
 
 use marea::core::{
-    Clock, ContainerConfig, EventPort, EventQos, Micros, NodeId, ProtoDuration, Service,
-    ServiceContext, ServiceDescriptor, SystemClock, TimerId, VarPort, VarQos,
+    ContainerConfig, EventPort, EventQos, Micros, NodeId, ProtoDuration, Service, ServiceContext,
+    ServiceDescriptor, SystemClock, TimerId, VarPort, VarQos,
 };
 use marea::prelude::*;
 use marea::transport::{UdpTransport, UdpTransportConfig};
