@@ -1,24 +1,31 @@
 //! The service container: one per node, the paper's core artifact (§3).
 //!
 //! The container is a deterministic state machine driven by
-//! [`ServiceContainer::tick`]. Within a tick it:
+//! [`ServiceContainer::tick`]. Every due date it keeps — timeouts,
+//! deadlines, timers, retransmissions, cadences — sits on one
+//! [`agenda`], and each phase pops only its own due entries. Within a
+//! tick it:
 //!
 //! 1. pumps the transport and interprets every frame (discovery, samples,
-//!    reliable-channel envelopes, file transfer traffic);
+//!    reliable-channel envelopes, file transfer traffic) — and returns
+//!    right there when no frame arrived, no handler is queued and nothing
+//!    on the agenda is due;
 //! 2. runs failure detection (heartbeat timeouts ⇒ purge the name cache,
 //!    re-resolve subscriptions, fail over pending calls);
-//! 3. maintains subscriptions against the directory (name management);
-//! 4. fires timers and variable-loss deadlines;
-//! 5. polls the reliable links (retransmissions) and pumps file transfers;
+//! 3. maintains subscriptions against the directory (name management)
+//!    when something that feeds resolution changed;
+//! 4. fires timers, then variable-loss deadlines, then call timeouts;
+//! 5. polls the reliable links that are due (acks, retransmissions, FEC
+//!    flushes) and pumps the file transfers that are due;
 //! 6. emits heartbeats/announcements;
 //! 7. executes queued handler invocations through the pluggable scheduler,
-//!    bounded by a per-tick budget, applying the effects services queue.
+//!    bounded by a per-tick budget, applying the effects services queue;
+//! 8. evicts fragment sets that stayed incomplete too long.
 //!
 //! Services never see any of this machinery — only their
 //! [`ServiceContext`](crate::ServiceContext).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bytes::Bytes;
@@ -53,13 +60,18 @@ use crate::service::{
 use crate::stats::{ContainerStats, EventSubscriptionStats, QosStats, VarSubscriptionStats};
 use crate::sweep::{sorted_keys, sorted_keys_into};
 use crate::trace::{TraceConfig, TraceId, TraceKind, TraceRing, Tracer};
+use agenda::{Agenda, Key, Kind};
 
+pub(crate) mod agenda;
 mod gossip;
 mod pump;
 mod subscriptions;
 
 /// Upper bound for one marshalled call argument.
 pub(crate) const MAX_ARG_BYTES: usize = 4 * 1024 * 1024;
+
+/// Age at which an incomplete fragment set is evicted.
+const REASSEMBLY_TIMEOUT: ProtoDuration = ProtoDuration(5_000_000);
 
 /// How variable samples reach remote subscribers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -156,11 +168,11 @@ struct ServiceSlot {
     state: ServiceState,
 }
 
+/// A live service timer; its next firing is on the agenda.
 #[derive(Debug)]
-struct TimerInfo {
+struct Timer {
     service_seq: u32,
     period: Option<ProtoDuration>,
-    cancelled: bool,
 }
 
 /// The per-node service container (paper §3).
@@ -174,15 +186,17 @@ pub struct ServiceContainer {
     codecs: CodecRegistry,
     slots: Vec<ServiceSlot>,
     directory: Directory,
-    scheduler: Box<dyn Scheduler>,
+    scheduler: Scheduler,
     links: HashMap<NodeId, ReliableLink>,
     vars: VarEngine,
     events: EventEngine,
     rpc: RpcEngine,
     files: FileEngine,
     reassembler: Reassembler,
-    timers: BinaryHeap<Reverse<(Micros, u64)>>,
-    timer_info: HashMap<u64, TimerInfo>,
+    /// Set and not yet cancelled (or, for one-shots, fired).
+    timers: HashMap<u64, Timer>,
+    /// Every due date of this container (see [`agenda`]).
+    agenda: Agenda,
     next_timer_id: u64,
     next_request_id: u64,
     next_msg_id: u64,
@@ -190,29 +204,11 @@ pub struct ServiceContainer {
     incarnation: u64,
     running: bool,
     started_at: Micros,
-    last_heartbeat: Option<Micros>,
-    last_announce: Option<Micros>,
     /// Digest `(hash, entry_count)` of the last full catalogue broadcast.
     /// While the catalogue is unchanged, the periodic announce slot sends
     /// a compact `AnnounceDigest` instead of re-flooding the catalogue.
     last_announce_digest: Option<(u32, u32)>,
-    /// When the last forced (out-of-cadence) full re-announce went out.
-    last_forced_reannounce: Option<Micros>,
-    /// A forced re-announce arrived inside the debounce window and waits
-    /// for the next announce-period boundary.
-    reannounce_pending: bool,
-    /// Directory or subscription state changed since the last maintenance
-    /// sweep. Plain heartbeats do not set this — a liveness refresh
-    /// changes no name resolution — which keeps the sweep off the
-    /// per-tick path at fleet scale.
-    subs_dirty: bool,
-    /// Last file-interest retry sweep (cadence fallback that keeps
-    /// waiting interests re-trying seen announces without a dirty flag).
-    last_interest_retry: Option<Micros>,
-    /// Peers whose reliable link may still produce poll output. Ordered
-    /// so the poll sweep walks peers in node order (determinism).
-    active_links: BTreeSet<NodeId>,
-    /// Scratch for the poll sweep (allocation reuse across ticks).
+    /// Scratch for the link poll sweep (allocation reuse across ticks).
     link_scratch: Vec<NodeId>,
     /// Scratch for sorted map walks in the maintenance and file pumps.
     sweep_scratch: Vec<Name>,
@@ -227,6 +223,9 @@ impl ServiceContainer {
     pub fn new(config: ContainerConfig, transport: Box<dyn Transport>) -> Self {
         let mut codecs = CodecRegistry::new();
         codecs.set_default(config.codec);
+        let mut agenda = Agenda::default();
+        agenda.arm(Kind::Heartbeat, Micros::ZERO, Key::Id(0));
+        agenda.arm(Kind::Resolve, Micros::ZERO, Key::Id(0));
         ServiceContainer {
             scheduler: config.scheduler.build(),
             codecs,
@@ -238,9 +237,9 @@ impl ServiceContainer {
             events: EventEngine::default(),
             rpc: RpcEngine::default(),
             files: FileEngine::default(),
-            reassembler: Reassembler::new(ProtoDuration::from_secs(5)),
-            timers: BinaryHeap::new(),
-            timer_info: HashMap::new(),
+            reassembler: Reassembler::new(REASSEMBLY_TIMEOUT),
+            timers: HashMap::new(),
+            agenda,
             next_timer_id: 0,
             next_request_id: 0,
             next_msg_id: 0,
@@ -248,14 +247,7 @@ impl ServiceContainer {
             incarnation: 1,
             running: false,
             started_at: Micros::ZERO,
-            last_heartbeat: None,
-            last_announce: None,
             last_announce_digest: None,
-            last_forced_reannounce: None,
-            reannounce_pending: false,
-            subs_dirty: true,
-            last_interest_retry: None,
-            active_links: BTreeSet::new(),
             link_scratch: Vec::new(),
             sweep_scratch: Vec::new(),
             stats: ContainerStats::default(),
@@ -415,33 +407,6 @@ impl ServiceContainer {
         total
     }
 
-    /// Aggregated FEC statistics over all *live* reliable links.
-    ///
-    /// Unlike [`ServiceContainer::stats`] (whose FEC counters accumulate per event
-    /// and survive link teardown), this sums the current links' endpoint
-    /// counters — useful for inspecting a single link's behaviour in tests.
-    pub fn fec_link_stats(
-        &self,
-    ) -> (marea_protocol::fec::FecTxStats, marea_protocol::fec::FecRxStats) {
-        let mut tx = marea_protocol::fec::FecTxStats::default();
-        let mut rx = marea_protocol::fec::FecRxStats::default();
-        // marea-lint: allow(D1): commutative counter sums; no sends, order cannot reach the wire
-        for link in self.links.values() {
-            let t = link.fec_tx_stats();
-            tx.data_shards += t.data_shards;
-            tx.parity_shards += t.parity_shards;
-            tx.bypassed += t.bypassed;
-            tx.groups += t.groups;
-            let r = link.fec_rx_stats();
-            rx.data_shards += r.data_shards;
-            rx.parity_shards += r.parity_shards;
-            rx.recovered += r.recovered;
-            rx.unrecoverable_groups += r.unrecoverable_groups;
-            rx.discarded += r.discarded;
-        }
-        (tx, rx)
-    }
-
     /// Recent container log lines (oldest first).
     pub fn log_lines(&self) -> impl Iterator<Item = &(Micros, String)> {
         self.log.iter()
@@ -527,6 +492,7 @@ impl ServiceContainer {
         for name in descriptor.file_interests() {
             self.files.interests.entry(name.clone()).or_default().services.push(seq);
         }
+        self.start_interest_retries();
         for name in descriptor.required_functions() {
             self.rpc.required.entry(name.clone()).or_default().services.push(seq);
         }
@@ -542,8 +508,8 @@ impl ServiceContainer {
             self.push_task(Priority::LIFECYCLE, seq, TaskPayload::Start);
             // Force the next announce slot: the catalogue changed, so the
             // digest check in emit_periodics sends the full catalogue.
-            self.last_announce = None;
-            self.subs_dirty = true;
+            self.agenda.set(Kind::Announce, Micros::ZERO, Key::Id(0));
+            self.mark_dirty();
         }
         Ok(id)
     }
@@ -556,7 +522,7 @@ impl ServiceContainer {
         }
         self.running = true;
         self.started_at = now;
-        self.subs_dirty = true;
+        self.mark_dirty();
         self.tracer.record(now, TraceKind::NodeStart, TraceId::NONE, None, self.incarnation, None);
         self.transport.join(GroupId::CONTROL.0);
         self.directory.apply_hello(
@@ -566,6 +532,7 @@ impl ServiceContainer {
             self.config.fec.advertised_cap().wire_tag(),
             now,
         );
+        self.peer_heard(self.config.node);
         let entries = self.announce_entries();
         self.directory.apply_announce(self.config.node, &entries, now);
         self.send_message(
@@ -618,21 +585,26 @@ impl ServiceContainer {
             now,
         );
 
+        let frames_in = self.stats.frames_in;
         self.pump_transport(now);
+        // Idle: nothing arrived, nothing is queued and nothing is due, so
+        // every phase below would find no work.
+        if self.stats.frames_in == frames_in
+            && self.scheduler.is_empty()
+            && self.next_due().is_none_or(|due| due > now)
+        {
+            return;
+        }
         self.detect_failures(now);
-        // Maintenance only runs when something that feeds name resolution
-        // actually changed (`subs_dirty`), plus a cadence fallback that
-        // keeps waiting file interests re-trying their seen announces.
-        let interests_due = !self.files.interests.is_empty()
-            && self
-                .last_interest_retry
-                .map(|t| now.saturating_since(t) >= self.config.file_query_interval)
-                .unwrap_or(true);
-        if self.subs_dirty || interests_due {
-            self.subs_dirty = false;
-            if interests_due {
-                self.last_interest_retry = Some(now);
-            }
+        // Maintenance runs when something that feeds name resolution
+        // changed, and on a cadence that keeps waiting file interests
+        // re-trying their seen announces.
+        let retry = self.agenda.drain_due(Kind::InterestRetry, now);
+        if retry {
+            let next = now + self.config.file_query_interval;
+            self.agenda.set(Kind::InterestRetry, next, Key::Id(0));
+        }
+        if self.agenda.drain_due(Kind::Resolve, now) | retry {
             self.maintain_subscriptions(now);
         }
         self.fire_timers(now);
@@ -646,7 +618,56 @@ impl ServiceContainer {
         if len > self.stats.queue_peak {
             self.stats.queue_peak = len;
         }
-        self.reassembler.expire(now);
+        if self.agenda.drain_due(Kind::Reassembly, now) {
+            self.reassembler.expire(now);
+            // Only the oldest set's eviction time was armed; while younger
+            // sets remain, check again every tick.
+            if self.reassembler.pending_count() > 0 {
+                self.agenda.arm(Kind::Reassembly, now, Key::Id(0));
+            }
+        }
+    }
+
+    /// The earliest due date on the agenda: a tick before it, with no
+    /// frame received and no task queued, only counts itself.
+    pub(crate) fn next_due(&self) -> Option<Micros> {
+        self.agenda.next_due()
+    }
+
+    /// Re-resolve subscriptions at the next maintenance phase. Plain
+    /// heartbeats change no resolution, so they do not call this.
+    fn mark_dirty(&mut self) {
+        self.agenda.arm(Kind::Resolve, Micros::ZERO, Key::Id(0));
+    }
+
+    /// Starts the file-interest retry cadence once there is an interest.
+    /// It stays armed from then on (interests are never removed).
+    fn start_interest_retries(&mut self) {
+        let armed = self.agenda.due_of(Kind::InterestRetry, &Key::Id(0)).is_some();
+        if !armed && !self.files.interests.is_empty() {
+            self.agenda.arm(Kind::InterestRetry, Micros::ZERO, Key::Id(0));
+        }
+    }
+
+    /// After a `Hello` or heartbeat from `node` was applied: arms its
+    /// heartbeat timeout and renegotiates an established link in place to
+    /// the capability it advertised.
+    fn peer_heard(&mut self, node: NodeId) {
+        self.directory.watch(&mut self.agenda, node, self.config.node_timeout);
+        let negotiated = self.fec_cap_for(node);
+        if let Some(link) = self.links.get_mut(&node) {
+            link.negotiate_fec(negotiated);
+        }
+    }
+
+    /// Polls the link to `peer` in this tick's link phase, or the next.
+    fn wake_link(&mut self, peer: NodeId) {
+        self.agenda.arm(Kind::Link, Micros::ZERO, Key::Id(u64::from(peer.0)));
+    }
+
+    /// Pumps the outgoing file `resource` in this tick's file phase, or the next.
+    fn wake_file(&mut self, resource: &Name) {
+        self.agenda.arm(Kind::FilePump, Micros::ZERO, Key::Name(resource.clone()));
     }
 
     fn load_permille(&self) -> u16 {
@@ -657,23 +678,17 @@ impl ServiceContainer {
     // ---- timers -------------------------------------------------------------
 
     fn fire_timers(&mut self, now: Micros) {
-        while let Some(&Reverse((due, tid))) = self.timers.peek() {
-            if due > now {
-                break;
-            }
-            self.timers.pop();
-            let Some(info) = self.timer_info.get(&tid) else { continue };
-            if info.cancelled {
-                self.timer_info.remove(&tid);
-                continue;
-            }
-            let seq = info.service_seq;
-            let period = info.period;
+        while let Some((due, key)) = self.agenda.pop_due(Kind::Timer, now) {
+            let Key::Id(tid) = key else { continue };
+            // Cancelled since it was armed.
+            let Some(timer) = self.timers.get(&tid) else { continue };
+            let seq = timer.service_seq;
+            let period = timer.period;
             self.push_task(Priority::TIMER, seq, TaskPayload::Timer { id: TimerId(tid) });
             match period {
-                Some(p) => self.timers.push(Reverse((due + p, tid))),
+                Some(p) => self.agenda.set(Kind::Timer, due + p, Key::Id(tid)),
                 None => {
-                    self.timer_info.remove(&tid);
+                    self.timers.remove(&tid);
                 }
             }
         }
@@ -740,58 +755,39 @@ impl ServiceContainer {
                 next_timer_id: &mut next_timer_id,
                 var_state: Some(&self.vars.subscribed),
             };
-            let unwind = catch_unwind(AssertUnwindSafe(|| match &payload {
-                TaskPayload::Start => {
-                    service.on_start(&mut ctx);
-                    None
-                }
-                TaskPayload::Stop => {
-                    service.on_stop(&mut ctx);
-                    None
-                }
-                TaskPayload::DeliverVariable { name, value, stamp, .. } => {
-                    service.on_variable(&mut ctx, name, value, *stamp);
-                    None
-                }
-                TaskPayload::VariableTimeout { name } => {
-                    service.on_variable_timeout(&mut ctx, name);
-                    None
-                }
-                TaskPayload::DeliverEvent { name, value, stamp, .. } => {
-                    service.on_event(&mut ctx, name, value.as_ref(), *stamp);
-                    None
-                }
-                TaskPayload::ExecuteCall { request, caller, function, args, .. } => {
-                    let result = service.on_call(&mut ctx, function, args);
-                    Some((*request, *caller, function.clone(), result))
-                }
-                TaskPayload::DeliverReply { request, result } => {
-                    service.on_reply(&mut ctx, CallHandle(*request), result.clone());
-                    None
-                }
-                TaskPayload::File(ev) => {
-                    service.on_file_event(&mut ctx, ev);
-                    None
-                }
-                TaskPayload::FileBypass { resource, revision, data } => {
-                    service.on_file_event(
-                        &mut ctx,
-                        &FileEvent::Received {
+            let unwind = catch_unwind(AssertUnwindSafe(|| {
+                match &payload {
+                    TaskPayload::Start => service.on_start(&mut ctx),
+                    TaskPayload::Stop => service.on_stop(&mut ctx),
+                    TaskPayload::DeliverVariable { name, value, stamp, .. } => {
+                        service.on_variable(&mut ctx, name, value, *stamp)
+                    }
+                    TaskPayload::VariableTimeout { name } => {
+                        service.on_variable_timeout(&mut ctx, name)
+                    }
+                    TaskPayload::DeliverEvent { name, value, stamp, .. } => {
+                        service.on_event(&mut ctx, name, value.as_ref(), *stamp)
+                    }
+                    TaskPayload::ExecuteCall { request, caller, function, args, .. } => {
+                        let result = service.on_call(&mut ctx, function, args);
+                        return Some((*request, *caller, function.clone(), result));
+                    }
+                    TaskPayload::DeliverReply { request, result } => {
+                        service.on_reply(&mut ctx, CallHandle(*request), result.clone())
+                    }
+                    TaskPayload::File(ev) => service.on_file_event(&mut ctx, ev),
+                    TaskPayload::FileBypass { resource, revision, data } => {
+                        let ev = FileEvent::Received {
                             resource: resource.clone(),
                             revision: *revision,
                             data: data.clone(),
-                        },
-                    );
-                    None
+                        };
+                        service.on_file_event(&mut ctx, &ev)
+                    }
+                    TaskPayload::Provider(notice) => service.on_provider_change(&mut ctx, notice),
+                    TaskPayload::Timer { id } => service.on_timer(&mut ctx, *id),
                 }
-                TaskPayload::Provider(notice) => {
-                    service.on_provider_change(&mut ctx, notice);
-                    None
-                }
-                TaskPayload::Timer { id } => {
-                    service.on_timer(&mut ctx, *id);
-                    None
-                }
+                None
             }));
             match unwind {
                 Ok(outcome) => {
@@ -817,7 +813,7 @@ impl ServiceContainer {
             // operation and notif[ies] the rest of containers").
             self.stats.services_failed += 1;
             self.log_line(now, format!("service `{service_name}` panicked; marked failed"));
-            self.set_service_state(seq, ServiceState::Failed, now);
+            self.set_service_state(seq, ServiceState::Failed);
             return;
         }
         match &payload {
@@ -825,10 +821,10 @@ impl ServiceContainer {
                 let starting =
                     self.slots.get(idx).map(|s| s.state == ServiceState::Starting).unwrap_or(false);
                 if starting {
-                    self.set_service_state(seq, ServiceState::Running, now);
+                    self.set_service_state(seq, ServiceState::Running);
                 }
             }
-            TaskPayload::Stop => self.set_service_state(seq, ServiceState::Stopped, now),
+            TaskPayload::Stop => self.set_service_state(seq, ServiceState::Stopped),
             TaskPayload::DeliverVariable { name, stamp, seq: sample_seq, trace, .. } => {
                 self.stats.var_samples_delivered += 1;
                 self.tracer.record_var_latency(now.saturating_since(*stamp).as_micros());
@@ -905,41 +901,30 @@ impl ServiceContainer {
         } else {
             let codec = self.codecs.default_codec().clone();
             let returns = self.rpc.functions.get(function).and_then(|f| f.sig.returns.clone());
-            let msg = match result {
+            let (status, payload) = match result {
                 Ok(value) => match encode_result(&value, &returns, codec.as_ref()) {
-                    Ok(payload) => Message::CallReply {
-                        request,
-                        status: CallStatus::Ok,
-                        trace: trace.wire(),
-                        codec: codec.id().0,
-                        payload,
-                    },
+                    Ok(payload) => (CallStatus::Ok, payload),
                     Err(e) => {
                         // The provider returned a value that violates its
                         // own declared return schema.
                         self.rpc.type_mismatches += 1;
-                        Message::CallReply {
-                            request,
-                            status: CallStatus::AppError,
-                            trace: trace.wire(),
-                            codec: codec.id().0,
-                            payload: Bytes::from(e.to_string().into_bytes()),
-                        }
+                        (CallStatus::AppError, Bytes::from(e.to_string().into_bytes()))
                     }
                 },
-                Err(e) => Message::CallReply {
-                    request,
-                    status: CallStatus::AppError,
-                    trace: trace.wire(),
-                    codec: codec.id().0,
-                    payload: Bytes::from(e.into_bytes()),
-                },
+                Err(e) => (CallStatus::AppError, Bytes::from(e.into_bytes())),
+            };
+            let msg = Message::CallReply {
+                request,
+                status,
+                trace: trace.wire(),
+                codec: codec.id().0,
+                payload,
             };
             self.send_reliable(caller, &msg, now);
         }
     }
 
-    fn set_service_state(&mut self, seq: u32, state: ServiceState, now: Micros) {
+    fn set_service_state(&mut self, seq: u32, state: ServiceState) {
         let name = {
             let Some(slot) = self.slots.iter_mut().find(|s| s.seq == seq) else { return };
             if slot.state == state {
@@ -949,10 +934,9 @@ impl ServiceContainer {
             slot.descriptor.name().clone()
         };
         self.directory.apply_status(self.config.node, seq, state);
-        self.subs_dirty = true;
+        self.mark_dirty();
         let msg = Message::ServiceStatus { service_seq: seq, name, state };
         self.send_message(TransportDestination::Group(GroupId::CONTROL.0), &msg);
-        let _ = now;
     }
 
     // ---- effects ---------------------------------------------------------------
@@ -973,24 +957,28 @@ impl ServiceContainer {
                     if !interest.services.contains(&seq) {
                         interest.services.push(seq);
                     }
-                    self.subs_dirty = true;
+                    self.start_interest_retries();
+                    self.mark_dirty();
                     self.try_local_file_bypass(&resource);
                 }
-                Effect::SetTimer { id, after, period } => {
-                    self.timer_info
-                        .insert(id.0, TimerInfo { service_seq: seq, period, cancelled: false });
-                    self.timers.push(Reverse((now + after, id.0)));
+                Effect::SetTimer { id, after, mut period } => {
+                    if period == Some(ProtoDuration::ZERO) {
+                        // Re-arming at `due + 0` would fire it forever
+                        // within one tick.
+                        self.log_line(now, format!("timer {} has a zero period; fires once", id.0));
+                        period = None;
+                    }
+                    self.timers.insert(id.0, Timer { service_seq: seq, period });
+                    self.agenda.set(Kind::Timer, now + after, Key::Id(id.0));
                 }
                 Effect::CancelTimer { id } => {
-                    if let Some(info) = self.timer_info.get_mut(&id.0) {
-                        info.cancelled = true;
-                    }
+                    self.timers.remove(&id.0);
                 }
                 Effect::Log { line } => self.log_line(now, line),
                 Effect::SetDegraded { degraded } => {
                     let state =
                         if degraded { ServiceState::Degraded } else { ServiceState::Running };
-                    self.set_service_state(seq, state, now);
+                    self.set_service_state(seq, state);
                 }
                 Effect::StopSelf => {
                     self.push_task(Priority::LIFECYCLE, seq, TaskPayload::Stop);
@@ -1032,21 +1020,14 @@ impl ServiceContainer {
         self.tracer.record(now, TraceKind::VarPublish, trace, None, sample_seq, Some(&name));
 
         // Local delivery (Fig. 2 in-container path).
-        let local = {
-            match self.vars.subscribed.get_mut(&name) {
-                Some(sub) => {
-                    if sub.accept(sample_seq, now) {
-                        sub.record(now, value.clone());
-                        Some(sub.services.clone())
-                    } else {
-                        None
-                    }
-                }
-                None => None,
-            }
-        };
+        let local = self.vars.subscribed.get_mut(&name).and_then(|sub| {
+            sub.accept(sample_seq, now).then(|| {
+                sub.record(now, value.clone());
+                sub.services.clone()
+            })
+        });
         if let Some(services) = local {
-            self.vars.arm_deadline(&name);
+            self.vars.arm_deadline(&mut self.agenda, &name);
             for svc in services {
                 self.push_task(
                     Priority::VARIABLE,
@@ -1206,7 +1187,7 @@ impl ServiceContainer {
             trace,
         };
         self.dispatch_call(handle.0, &call, payload, now);
-        self.rpc.track(handle.0, call);
+        self.rpc.track(&mut self.agenda, handle.0, call);
     }
 
     fn effect_publish_file(&mut self, seq: u32, resource: Name, data: Bytes, now: Micros) {
@@ -1234,7 +1215,8 @@ impl ServiceContainer {
                         return;
                     };
                     existing.complete_notified = false;
-                    existing.last_query_at = None;
+                    // A new revision queries at once.
+                    self.agenda.disarm(Kind::FileQuery, &Key::Name(resource.clone()));
                     announce
                 }
                 None => {
@@ -1253,18 +1235,14 @@ impl ServiceContainer {
                     self.files.transfer_index.insert(transfer, resource.clone());
                     self.files.outgoing.insert(
                         resource.clone(),
-                        OutgoingFile {
-                            sender,
-                            owner_seq: seq,
-                            last_query_at: None,
-                            complete_notified: false,
-                        },
+                        OutgoingFile { sender, owner_seq: seq, complete_notified: false },
                     );
                     announce
                 }
             }
         };
         self.send_message(TransportDestination::Group(GroupId::CONTROL.0), &announce);
+        self.wake_file(&resource);
         self.try_local_file_bypass(&resource);
     }
 
@@ -1301,21 +1279,23 @@ impl ServiceContainer {
 
     fn send_reliable(&mut self, peer: NodeId, msg: &Message, now: Micros) {
         let tagged = msg.encode_tagged();
-        let fec = self.fec_cap_for(peer);
-        let fresh_link = !self.links.contains_key(&peer);
-        let out = {
-            let link = self.links.entry(peer).or_insert_with(|| {
-                let mut l = ReliableLink::new(peer, self.config.arq);
-                l.negotiate_fec(fec);
-                l
-            });
-            link.send(tagged, now)
-        };
-        if fresh_link {
+        let out = self.link_to(peer, now).send(tagged, now);
+        self.send_link_messages(peer, out);
+    }
+
+    /// The reliable link to `peer` — created with the negotiated FEC rate
+    /// (and traced) on first use — put on this tick's poll list.
+    fn link_to(&mut self, peer: NodeId, now: Micros) -> &mut ReliableLink {
+        if !self.links.contains_key(&peer) {
             self.tracer.record(now, TraceKind::LinkUp, TraceId::NONE, Some(peer), 0, None);
         }
-        self.active_links.insert(peer);
-        self.send_link_messages(peer, out);
+        self.wake_link(peer);
+        let (arq, fec) = (self.config.arq, self.fec_cap_for(peer));
+        self.links.entry(peer).or_insert_with(|| {
+            let mut link = ReliableLink::new(peer, arq);
+            link.negotiate_fec(fec);
+            link
+        })
     }
 
     /// The code rate a link to `peer` should run: the weaker of our
@@ -1353,27 +1333,24 @@ impl ServiceContainer {
         let payload = msg.encode_payload();
         let mtu = self.transport.mtu();
         if payload.len() + marea_protocol::FRAME_HEADER_LEN <= mtu {
-            let frame = Frame::new(self.config.node, msg.kind(), payload);
-            let wire = frame.encode();
-            self.stats.frames_out += 1;
-            self.stats.bytes_out += wire.len() as u64;
-            let _ = self.transport.send(dest, wire);
-        } else {
-            // Fragment the tagged encoding.
-            self.next_msg_id += 1;
-            let tagged = msg.encode_tagged();
-            let budget = mtu.saturating_sub(96).max(128);
-            let Ok(frags) = fragment_payload(self.next_msg_id, &tagged, budget) else {
-                return;
-            };
-            for frag in frags {
-                let frame = Frame::new(self.config.node, frag.kind(), frag.encode_payload());
-                let wire = frame.encode();
-                self.stats.frames_out += 1;
-                self.stats.bytes_out += wire.len() as u64;
-                let _ = self.transport.send(dest, wire);
-            }
+            return self.send_frame(dest, Frame::new(self.config.node, msg.kind(), payload));
         }
+        // Fragment the tagged encoding.
+        self.next_msg_id += 1;
+        let budget = mtu.saturating_sub(96).max(128);
+        let Ok(frags) = fragment_payload(self.next_msg_id, &msg.encode_tagged(), budget) else {
+            return;
+        };
+        for frag in frags {
+            self.send_frame(dest, Frame::new(self.config.node, frag.kind(), frag.encode_payload()));
+        }
+    }
+
+    fn send_frame(&mut self, dest: TransportDestination, frame: Frame) {
+        let wire = frame.encode();
+        self.stats.frames_out += 1;
+        self.stats.bytes_out += wire.len() as u64;
+        let _ = self.transport.send(dest, wire);
     }
 
     fn log_line(&mut self, now: Micros, line: String) {

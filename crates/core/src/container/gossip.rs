@@ -1,6 +1,6 @@
 //! Periodic control-plane output: heartbeats and the catalogue gossip
 //! (full `Announce` broadcasts, compact `AnnounceDigest` summaries, and
-//! the debounced forced re-announce path).
+//! the debounced forced re-announce path), each due date on the agenda.
 
 use marea_protocol::messages::announce_hash;
 
@@ -8,12 +8,9 @@ use super::*;
 
 impl ServiceContainer {
     pub(super) fn emit_periodics(&mut self, now: Micros) {
-        let hb_due = self
-            .last_heartbeat
-            .map(|t| now.saturating_since(t) >= self.config.heartbeat_period)
-            .unwrap_or(true);
-        if hb_due {
-            self.last_heartbeat = Some(now);
+        if self.agenda.drain_due(Kind::Heartbeat, now) {
+            let next = now + self.config.heartbeat_period;
+            self.agenda.set(Kind::Heartbeat, next, Key::Id(0));
             let msg = Message::Heartbeat {
                 incarnation: self.incarnation,
                 uptime_us: now.saturating_since(self.started_at).as_micros(),
@@ -22,18 +19,13 @@ impl ServiceContainer {
             };
             self.send_message(TransportDestination::Group(GroupId::CONTROL.0), &msg);
         }
-        let flush_forced = self.reannounce_pending
-            && self
-                .last_forced_reannounce
-                .map(|t| now.saturating_since(t) >= self.config.announce_period)
-                .unwrap_or(true);
-        let ann_due = self
-            .last_announce
-            .map(|t| now.saturating_since(t) >= self.config.announce_period)
-            .unwrap_or(true);
-        if flush_forced {
-            self.reannounce_pending = false;
-            self.last_forced_reannounce = Some(now);
+        // A closed debounce window only matters to `request_reannounce`,
+        // which reads its due date; here it just leaves the agenda.
+        self.agenda.drain_due(Kind::ReannounceWindow, now);
+        let ann_due = self.agenda.drain_due(Kind::Announce, now);
+        if self.agenda.drain_due(Kind::ReannounceFlush, now) {
+            let window = now + self.config.announce_period;
+            self.agenda.set(Kind::ReannounceWindow, window, Key::Id(0));
             self.broadcast_announce(now);
         } else if ann_due {
             self.emit_catalogue_periodic(now);
@@ -42,21 +34,21 @@ impl ServiceContainer {
 
     /// A peer signalled it lacks our catalogue (its `Hello`, typically).
     /// The first trigger re-broadcasts the full catalogue immediately so
-    /// discovery converges fast; repeats inside one announce period
-    /// collapse into a single pending re-announce that `emit_periodics`
-    /// flushes at the next period boundary — a burst of `Hello`s can no
-    /// longer flood the control group with full-catalogue broadcasts.
+    /// discovery converges fast and opens a debounce window of one
+    /// announce period; repeats inside the window collapse into a single
+    /// re-announce that `emit_periodics` flushes when the window closes —
+    /// a burst of `Hello`s cannot flood the control group with
+    /// full-catalogue broadcasts.
     pub(super) fn request_reannounce(&mut self, now: Micros) {
-        let allowed = self
-            .last_forced_reannounce
-            .map(|t| now.saturating_since(t) >= self.config.announce_period)
-            .unwrap_or(true);
-        if allowed {
-            self.last_forced_reannounce = Some(now);
-            self.reannounce_pending = false;
-            self.broadcast_announce(now);
-        } else {
-            self.reannounce_pending = true;
+        let open_until = self.agenda.due_of(Kind::ReannounceWindow, &Key::Id(0));
+        match open_until {
+            Some(end) if end > now => self.agenda.arm(Kind::ReannounceFlush, end, Key::Id(0)),
+            _ => {
+                let window = now + self.config.announce_period;
+                self.agenda.set(Kind::ReannounceWindow, window, Key::Id(0));
+                self.agenda.disarm(Kind::ReannounceFlush, &Key::Id(0));
+                self.broadcast_announce(now);
+            }
         }
     }
 
@@ -69,7 +61,8 @@ impl ServiceContainer {
         let entries = self.announce_entries();
         let digest = (announce_hash(self.incarnation, &entries), entries.len() as u32);
         if self.last_announce_digest == Some(digest) {
-            self.last_announce = Some(now);
+            let next = now + self.config.announce_period;
+            self.agenda.set(Kind::Announce, next, Key::Id(0));
             let msg = Message::AnnounceDigest {
                 incarnation: self.incarnation,
                 entry_count: digest.1,
@@ -82,7 +75,8 @@ impl ServiceContainer {
     }
 
     pub(super) fn broadcast_announce(&mut self, now: Micros) {
-        self.last_announce = Some(now);
+        let next = now + self.config.announce_period;
+        self.agenda.set(Kind::Announce, next, Key::Id(0));
         let entries = self.announce_entries();
         self.directory.apply_announce(self.config.node, &entries, now);
         let digest = (announce_hash(self.incarnation, &entries), entries.len() as u32);

@@ -1,9 +1,28 @@
-//! Frame input and per-tick pumps: transport drain, message dispatch,
-//! reliable-link polling and file-transfer pumping.
+//! Frame input and the due-driven pumps: transport drain, message
+//! dispatch, reliable-link polling and file-transfer pumping.
 
+use marea_presentation::DataType;
 use marea_protocol::messages::announce_hash;
 
 use super::*;
+
+/// Decodes an application payload against the announced schema; with no
+/// schema announced only the self-describing codec can. `None` on any
+/// disagreement.
+fn decode_payload(
+    codecs: &CodecRegistry,
+    ty: Option<&DataType>,
+    codec: u8,
+    payload: &[u8],
+) -> Option<Value> {
+    match ty {
+        Some(ty) => codecs.get(CodecId(codec)).and_then(|c| c.decode(payload, ty).ok()),
+        None if CodecId(codec) == CodecId::SELF_DESCRIBING => {
+            SelfDescribingCodec::decode_any(payload).ok().map(|(_, v)| v)
+        }
+        None => None,
+    }
+}
 
 impl ServiceContainer {
     // ---- frame input -----------------------------------------------------
@@ -30,12 +49,9 @@ impl ServiceContainer {
             Message::Hello { container, incarnation, fec_cap } => {
                 self.directory.apply_hello(src, container, incarnation, fec_cap, now);
                 // A Hello can upgrade (or downgrade) the code rate of an
-                // already-established link: renegotiate in place.
-                let negotiated = self.fec_cap_for(src);
-                if let Some(link) = self.links.get_mut(&src) {
-                    link.negotiate_fec(negotiated);
-                }
-                self.subs_dirty = true;
+                // already-established link.
+                self.peer_heard(src);
+                self.mark_dirty();
                 self.request_reannounce(now);
             }
             Message::Heartbeat { incarnation, load_permille, fec_cap, .. } => {
@@ -43,15 +59,12 @@ impl ServiceContainer {
                 self.directory.apply_heartbeat(src, incarnation, load_permille, fec_cap, now);
                 // The refreshed capability may upgrade a link negotiated
                 // before the peer's Hello was seen (late attach, lossy
-                // bring-up): renegotiate in place, exactly as `Hello` does.
-                let negotiated = self.fec_cap_for(src);
-                if let Some(link) = self.links.get_mut(&src) {
-                    link.negotiate_fec(negotiated);
-                }
+                // bring-up), exactly as `Hello` does.
+                self.peer_heard(src);
                 if prior != Some(incarnation) {
                     // Unknown node or incarnation change: availability may
                     // have shifted; plain refresh heartbeats don't re-plan.
-                    self.subs_dirty = true;
+                    self.mark_dirty();
                 }
                 if prior.is_none() {
                     // A node we have no catalogue for (its Hello/Announce was
@@ -86,7 +99,7 @@ impl ServiceContainer {
                 self.directory.apply_announce(src, &entries, now);
                 let hash = announce_hash(incarnation, &entries);
                 self.directory.set_catalogue_digest(src, hash, entries.len() as u32);
-                self.subs_dirty = true;
+                self.mark_dirty();
             }
             Message::AnnounceDigest { incarnation, entry_count, catalogue_hash } => {
                 if self.directory.catalogue_matches(src, incarnation, entry_count, catalogue_hash) {
@@ -104,7 +117,7 @@ impl ServiceContainer {
             }
             Message::ServiceStatus { service_seq, state, .. } => {
                 self.directory.apply_status(src, service_seq, state);
-                self.subs_dirty = true;
+                self.mark_dirty();
                 if !state.is_available() {
                     let failed = ServiceId::new(src, service_seq);
                     let affected: Vec<RequestId> = sorted_keys(&self.rpc.pending)
@@ -147,20 +160,7 @@ impl ServiceContainer {
                 );
             }
             Message::RelData { seq, payload, .. } => {
-                let fec = self.fec_cap_for(src);
-                let fresh_link = !self.links.contains_key(&src);
-                let deliverables = {
-                    let link = self.links.entry(src).or_insert_with(|| {
-                        let mut l = ReliableLink::new(src, self.config.arq);
-                        l.negotiate_fec(fec);
-                        l
-                    });
-                    link.on_data(seq, payload)
-                };
-                if fresh_link {
-                    self.tracer.record(now, TraceKind::LinkUp, TraceId::NONE, Some(src), 0, None);
-                }
-                self.active_links.insert(src);
+                let deliverables = self.link_to(src, now).on_data(seq, payload);
                 for inner in deliverables {
                     if let Ok(inner_msg) = Message::decode_tagged(&inner) {
                         self.handle_message(src, inner_msg, now);
@@ -170,12 +170,12 @@ impl ServiceContainer {
             Message::RelAck { cumulative, sack, loss_permille, .. } => {
                 let (out, recovered) = match self.links.get_mut(&src) {
                     Some(link) => {
-                        self.active_links.insert(src);
                         let out = link.on_ack(cumulative, sack, loss_permille, now);
                         (out, link.take_recoveries())
                     }
-                    None => (Vec::new(), Vec::new()),
+                    None => return,
                 };
+                self.wake_link(src);
                 for us in recovered {
                     self.tracer.record_rto_recovery(us);
                 }
@@ -185,25 +185,12 @@ impl ServiceContainer {
                 // With FEC on, the first message of a reliable conversation
                 // arrives as a shard, so this must create the link exactly
                 // like the `RelData` arm does.
-                let fec = self.fec_cap_for(src);
-                let fresh_link = !self.links.contains_key(&src);
-                let (recovered, repair_delta) = {
-                    let link = self.links.entry(src).or_insert_with(|| {
-                        let mut l = ReliableLink::new(src, self.config.arq);
-                        l.negotiate_fec(fec);
-                        l
-                    });
-                    let before = link.fec_rx_stats().recovered;
-                    let inners = link.on_fec_shard(group, index, k, r, &payload);
-                    let delta = link.fec_rx_stats().recovered - before;
-                    self.stats.fec.shards_in += 1;
-                    self.stats.fec.recovered += delta;
-                    (inners, delta)
-                };
-                if fresh_link {
-                    self.tracer.record(now, TraceKind::LinkUp, TraceId::NONE, Some(src), 0, None);
-                }
-                self.active_links.insert(src);
+                let link = self.link_to(src, now);
+                let before = link.fec_rx_stats().recovered;
+                let recovered = link.on_fec_shard(group, index, k, r, &payload);
+                let repair_delta = link.fec_rx_stats().recovered - before;
+                self.stats.fec.shards_in += 1;
+                self.stats.fec.recovered += repair_delta;
                 if repair_delta > 0 {
                     self.tracer.record(
                         now,
@@ -243,7 +230,7 @@ impl ServiceContainer {
                 self.handle_call_reply(request, status, trace, codec, payload, now);
             }
             Message::FileAnnounce { .. } => {
-                self.subs_dirty = true;
+                self.mark_dirty();
                 self.handle_file_announce(src, msg, now);
             }
             Message::FileSubscribe { transfer, subscriber } => {
@@ -251,6 +238,7 @@ impl ServiceContainer {
                     if let Some(out) = self.files.outgoing.get_mut(&name) {
                         out.sender.on_subscribe(subscriber);
                         out.complete_notified = false;
+                        self.wake_file(&name);
                     }
                 }
             }
@@ -281,6 +269,7 @@ impl ServiceContainer {
                     if let Some(out) = self.files.outgoing.get_mut(&name) {
                         let _ = out.sender.on_nack(subscriber, revision, &runs);
                         out.complete_notified = false;
+                        self.wake_file(&name);
                     }
                 }
             }
@@ -289,14 +278,19 @@ impl ServiceContainer {
                     if let Some(interest) = self.files.interests.get_mut(&name) {
                         interest.receiver = None;
                         interest.publisher = None;
-                        self.subs_dirty = true;
+                        self.mark_dirty();
                     }
                 }
             }
             Message::Fragment { msg_id, index, count, payload } => {
-                if let Ok(Some(full)) =
-                    self.reassembler.offer(src, msg_id, index, count, payload, now)
-                {
+                let sets = self.reassembler.pending_count();
+                let offered = self.reassembler.offer(src, msg_id, index, count, payload, now);
+                if self.reassembler.pending_count() > sets {
+                    // A new incomplete set, evicted if still incomplete
+                    // once it is REASSEMBLY_TIMEOUT old.
+                    self.agenda.arm(Kind::Reassembly, now + REASSEMBLY_TIMEOUT, Key::Id(0));
+                }
+                if let Ok(Some(full)) = offered {
                     if let Ok(inner) = Message::decode_tagged(&full) {
                         self.handle_message(src, inner, now);
                     }
@@ -376,17 +370,7 @@ impl ServiceContainer {
                 self.tracer.record(now, TraceKind::VarOldDrop, trace, peer, seq, Some(&name));
                 return;
             }
-            let value = match (&sub.ty, CodecId(codec)) {
-                (Some(ty), id) => match self.codecs.get(id) {
-                    Some(c) => c.decode(&payload, ty).ok(),
-                    None => None,
-                },
-                (None, CodecId(1)) => {
-                    SelfDescribingCodec::decode_any(&payload).ok().map(|(_, v)| v)
-                }
-                _ => None,
-            };
-            value.map(|v| {
+            decode_payload(&self.codecs, sub.ty.as_ref(), codec, &payload).map(|v| {
                 sub.record(Micros(stamp_us), v.clone());
                 (v, sub.services.clone())
             })
@@ -399,7 +383,7 @@ impl ServiceContainer {
             self.log_line(now, format!("sample of `{name}` violates announced schema; dropped"));
             return;
         };
-        self.vars.arm_deadline(&name);
+        self.vars.arm_deadline(&mut self.agenda, &name);
         for svc in services {
             self.push_task(
                 Priority::VARIABLE,
@@ -431,13 +415,7 @@ impl ServiceContainer {
             let value = if payload.is_empty() {
                 None
             } else {
-                match (&sub.ty, CodecId(codec)) {
-                    (Some(ty), id) => self.codecs.get(id).and_then(|c| c.decode(&payload, ty).ok()),
-                    (None, CodecId(1)) => {
-                        SelfDescribingCodec::decode_any(&payload).ok().map(|(_, v)| v)
-                    }
-                    _ => None,
-                }
+                decode_payload(&self.codecs, sub.ty.as_ref(), codec, &payload)
             };
             (value, !sub.subscribers.is_empty())
         };
@@ -506,7 +484,7 @@ impl ServiceContainer {
                     // accounting (cannot happen: inboxes are decremented
                     // exactly when deliveries leave the queue), the push
                     // below still keeps the depth within one of the bound.
-                    let _ = self.scheduler.remove_matching(&mut |t| {
+                    let _ = self.scheduler.remove_matching(|t| {
                         t.service_seq == svc
                             && matches!(&t.payload,
                                 TaskPayload::DeliverEvent { name: n, .. } if n == name)
@@ -622,7 +600,7 @@ impl ServiceContainer {
             CallStatus::ServiceUnavailable | CallStatus::Timeout => {
                 // Provider-side refusal: try another provider before giving
                 // up (degraded-mode continuation, §4.3).
-                self.rpc.track(request, call);
+                self.rpc.track(&mut self.agenda, request, call);
                 self.failover_call(request, now);
                 return;
             }
@@ -665,12 +643,9 @@ impl ServiceContainer {
         self.files.transfer_index.insert(transfer, resource.clone());
         self.files.seen_announces.insert(resource.clone(), (src, msg.clone()));
 
-        enum Wire {
-            Fresh,
-            Resubscribe,
-            Nothing,
-        }
-        let (wire, services) = {
+        // `Some(join)`: subscribe to the publisher, joining the resource's
+        // group first when the receiver is fresh.
+        let (subscribe, services) = {
             let Some(interest) = self.files.interests.get_mut(resource) else { return };
             if interest.services.is_empty() || interest.completed_revision == Some(revision) {
                 return;
@@ -679,9 +654,9 @@ impl ServiceContainer {
                 Some(rx) => match rx.on_announce(&msg) {
                     Ok(AnnounceOutcome::Restarted) => {
                         interest.publisher = Some(src);
-                        (Wire::Resubscribe, interest.services.clone())
+                        (Some(false), interest.services.clone())
                     }
-                    _ => (Wire::Nothing, Vec::new()),
+                    _ => (None, Vec::new()),
                 },
                 None => {
                     match FileReceiver::from_announce(
@@ -692,24 +667,19 @@ impl ServiceContainer {
                         Ok((rx, _sub)) => {
                             interest.receiver = Some(rx);
                             interest.publisher = Some(src);
-                            (Wire::Fresh, interest.services.clone())
+                            (Some(true), interest.services.clone())
                         }
-                        Err(_) => (Wire::Nothing, Vec::new()),
+                        Err(_) => (None, Vec::new()),
                     }
                 }
             }
         };
-        match wire {
-            Wire::Fresh => {
+        if let Some(join) = subscribe {
+            if join {
                 self.transport.join(file_group(resource).0);
-                let sub = Message::FileSubscribe { transfer, subscriber: self.config.node };
-                self.send_reliable(src, &sub, now);
             }
-            Wire::Resubscribe => {
-                let sub = Message::FileSubscribe { transfer, subscriber: self.config.node };
-                self.send_reliable(src, &sub, now);
-            }
-            Wire::Nothing => {}
+            let sub = Message::FileSubscribe { transfer, subscriber: self.config.node };
+            self.send_reliable(src, &sub, now);
         }
         let resource = resource.clone();
         for svc in services {
@@ -766,25 +736,29 @@ impl ServiceContainer {
     }
 
     pub(super) fn poll_links(&mut self, now: Micros) {
-        // Only links with in-flight or unflushed state are polled: a
-        // quiescent link's poll is a no-op, so skipping it is
-        // output-equivalent and keeps the sweep O(active) instead of
-        // O(peers) at fleet scale. `active_links` is a BTreeSet, so the
-        // per-peer send order stays sorted — it decides how the simulated
+        // Only links whose poll is due can produce output, so the sweep is
+        // O(due) instead of O(peers) at fleet scale. Due peers are polled
+        // in node order: the per-peer send order decides how the simulated
         // network's RNG stream maps onto datagrams (same seed ⇒ same
         // trace).
         let mut polled = std::mem::take(&mut self.link_scratch);
         polled.clear();
-        polled.extend(self.active_links.iter().copied());
+        for kind in [Kind::Link, Kind::LinkTimer] {
+            while let Some((_, key)) = self.agenda.pop_due(kind, now) {
+                if let Key::Id(peer) = key {
+                    polled.push(NodeId(peer as u32));
+                }
+            }
+        }
+        polled.sort_unstable();
+        polled.dedup();
         for peer in polled.drain(..) {
-            let Some(link) = self.links.get_mut(&peer) else {
-                self.active_links.remove(&peer);
-                continue;
-            };
+            // Dead peers' links are gone; their entries lapse here.
+            let Some(link) = self.links.get_mut(&peer) else { continue };
             let (out, failed) = link.poll(now);
             let retransmits = link.take_retransmits();
-            if !link.needs_poll() {
-                self.active_links.remove(&peer);
+            if let Some(due) = link.next_poll_due(now) {
+                self.agenda.arm(Kind::LinkTimer, due, Key::Id(u64::from(peer.0)));
             }
             for seq in retransmits {
                 self.tracer.record(
@@ -818,11 +792,25 @@ impl ServiceContainer {
         self.stats.fec.negotiated_rate_max = rate_max;
     }
 
+    /// Pumps the outgoing files that are due: chunk bursts while chunks
+    /// are queued, and a completion query (with a re-announce) once the
+    /// queue is empty and no query went out for `file_query_interval`.
+    /// An armed [`Kind::FileQuery`] entry is the time of the next query;
+    /// a disarmed one means a query is due as soon as the chunks allow.
     pub(super) fn pump_files(&mut self, now: Micros) {
         // Stable send order (determinism); scratch buffer avoids a fresh
         // Vec allocation every tick.
         let mut resources = std::mem::take(&mut self.sweep_scratch);
-        sorted_keys_into(&self.files.outgoing, &mut resources);
+        resources.clear();
+        for kind in [Kind::FilePump, Kind::FileQuery] {
+            while let Some((_, key)) = self.agenda.pop_due(kind, now) {
+                if let Key::Name(resource) = key {
+                    resources.push(resource);
+                }
+            }
+        }
+        resources.sort_unstable();
+        resources.dedup();
         for resource in resources.drain(..) {
             let group = file_group(&resource);
             let mut to_control: Vec<Message> = Vec::new();
@@ -832,20 +820,17 @@ impl ServiceContainer {
                 if out.sender.is_complete() {
                     continue;
                 }
+                let key = Key::Name(resource.clone());
                 if out.sender.has_pending_chunks() {
                     to_group = out.sender.next_chunks(self.config.file_burst);
-                } else {
-                    let due = out
-                        .last_query_at
-                        .map(|t| now.saturating_since(t) >= self.config.file_query_interval)
-                        .unwrap_or(true);
-                    if due {
-                        out.last_query_at = Some(now);
-                        // Re-announce with each query round so late joiners
-                        // can subscribe mid-transfer (§4.4 phase overlap).
-                        to_control.push(out.sender.announce());
-                        to_group.push(out.sender.query());
-                    }
+                    self.agenda.arm(Kind::FilePump, now, key);
+                } else if self.agenda.due_of(Kind::FileQuery, &key).is_none() {
+                    // Re-announce with each query round so late joiners
+                    // can subscribe mid-transfer (§4.4 phase overlap).
+                    to_control.push(out.sender.announce());
+                    to_group.push(out.sender.query());
+                    let next = now + self.config.file_query_interval;
+                    self.agenda.set(Kind::FileQuery, next, key);
                 }
             }
             for m in to_control {

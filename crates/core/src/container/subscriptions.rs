@@ -8,7 +8,7 @@ impl ServiceContainer {
     // ---- failure detection & maintenance ----------------------------------
 
     pub(super) fn detect_failures(&mut self, now: Micros) {
-        let dead = self.directory.expire(now, self.config.node_timeout);
+        let dead = self.directory.expire(&mut self.agenda, now, self.config.node_timeout);
         for node in dead {
             if node == self.config.node {
                 self.directory.apply_heartbeat(
@@ -18,6 +18,7 @@ impl ServiceContainer {
                     self.config.fec.advertised_cap().wire_tag(),
                     now,
                 );
+                self.peer_heard(node);
                 continue;
             }
             self.handle_node_death(node, now);
@@ -26,9 +27,8 @@ impl ServiceContainer {
 
     pub(super) fn handle_node_death(&mut self, node: NodeId, now: Micros) {
         self.log_line(now, format!("node {node} declared dead; purging name cache"));
-        self.subs_dirty = true;
+        self.mark_dirty();
         if self.links.remove(&node).is_some() {
-            self.active_links.remove(&node);
             self.tracer.record(now, TraceKind::LinkDown, TraceId::NONE, Some(node), 0, None);
         }
         self.tracer.record(now, TraceKind::DirExpire, TraceId::NONE, Some(node), 0, None);
@@ -75,10 +75,9 @@ impl ServiceContainer {
             let Some(sub) = self.vars.subscribed.get_mut(&name) else { continue };
             let act = match resolution {
                 Some((provider, period, validity, ty)) => {
-                    if sub.provider != Some(provider) || !sub.subscribe_sent {
+                    if sub.provider != Some(provider) {
                         let fresh = sub.provider.is_none();
                         sub.bind(provider, period, validity, ty, now);
-                        sub.subscribe_sent = true;
                         Act::Bind {
                             provider,
                             need_initial: sub.need_initial,
@@ -90,9 +89,8 @@ impl ServiceContainer {
                     }
                 }
                 None => {
-                    if sub.subscribe_sent || sub.provider.is_some() {
+                    if sub.provider.is_some() {
                         sub.unbind();
-                        sub.subscribe_sent = false;
                         // Only notify on the transition away from bound.
                         Act::Lost { services: sub.services.clone() }
                     } else {
@@ -102,7 +100,7 @@ impl ServiceContainer {
             };
             match act {
                 Act::Bind { provider, need_initial, services, fresh } => {
-                    self.vars.arm_deadline(&name);
+                    self.vars.arm_deadline(&mut self.agenda, &name);
                     if provider.node != self.config.node {
                         if self.config.var_distribution == VarDistribution::Multicast {
                             self.transport.join(var_group(&name).0);
@@ -118,27 +116,11 @@ impl ServiceContainer {
                         self.send_reliable(provider.node, &msg, now);
                     }
                     if fresh {
-                        for svc in services {
-                            self.push_task(
-                                Priority::CALL,
-                                svc,
-                                TaskPayload::Provider(ProviderNotice::VariableAvailable(
-                                    name.clone(),
-                                )),
-                            );
-                        }
+                        self.notify(services, ProviderNotice::VariableAvailable(name));
                     }
                 }
                 Act::Lost { services } => {
-                    for svc in services {
-                        self.push_task(
-                            Priority::CALL,
-                            svc,
-                            TaskPayload::Provider(ProviderNotice::VariableUnavailable(
-                                name.clone(),
-                            )),
-                        );
-                    }
+                    self.notify(services, ProviderNotice::VariableUnavailable(name));
                 }
                 Act::None => {}
             }
@@ -161,18 +143,17 @@ impl ServiceContainer {
             let Some(sub) = self.events.subscribed.get_mut(&name) else { continue };
             let act = match resolution {
                 Some((provider, ty)) => {
-                    if sub.provider != Some(provider) || !sub.subscribe_sent {
+                    if sub.provider != Some(provider) {
                         let fresh = sub.provider.is_none();
                         sub.provider = Some(provider);
                         sub.ty = ty;
-                        sub.subscribe_sent = true;
                         Act::Bind { provider, services: sub.service_seqs(), fresh }
                     } else {
                         Act::None
                     }
                 }
                 None => {
-                    if sub.subscribe_sent || sub.provider.is_some() {
+                    if sub.provider.is_some() {
                         sub.unbind();
                         Act::Lost { services: sub.service_seqs() }
                     } else {
@@ -190,23 +171,11 @@ impl ServiceContainer {
                         self.send_reliable(provider.node, &msg, now);
                     }
                     if fresh {
-                        for svc in services {
-                            self.push_task(
-                                Priority::CALL,
-                                svc,
-                                TaskPayload::Provider(ProviderNotice::EventAvailable(name.clone())),
-                            );
-                        }
+                        self.notify(services, ProviderNotice::EventAvailable(name));
                     }
                 }
                 Act::Lost { services } => {
-                    for svc in services {
-                        self.push_task(
-                            Priority::CALL,
-                            svc,
-                            TaskPayload::Provider(ProviderNotice::EventUnavailable(name.clone())),
-                        );
-                    }
+                    self.notify(services, ProviderNotice::EventUnavailable(name));
                 }
                 Act::None => {}
             }
@@ -238,9 +207,7 @@ impl ServiceContainer {
                 if !available {
                     self.log_line(now, format!("required function `{name}` has no provider"));
                 }
-                for svc in services {
-                    self.push_task(Priority::CALL, svc, TaskPayload::Provider(notice.clone()));
-                }
+                self.notify(services, notice);
             }
         }
         // File interests that heard an announce before subscribing.
@@ -266,8 +233,15 @@ impl ServiceContainer {
         self.sweep_scratch = names;
     }
 
+    /// Queues a provider-availability notice for each of `services`.
+    fn notify(&mut self, services: Vec<u32>, notice: ProviderNotice) {
+        for svc in services {
+            self.push_task(Priority::CALL, svc, TaskPayload::Provider(notice.clone()));
+        }
+    }
+
     pub(super) fn sweep_variable_deadlines(&mut self, now: Micros) {
-        for name in self.vars.sweep_deadlines(now) {
+        for name in self.vars.sweep_deadlines(&mut self.agenda, now) {
             self.stats.var_timeouts += 1;
             self.tracer.record(now, TraceKind::VarTimeout, TraceId::NONE, None, 0, Some(&name));
             let services = self.vars.subscribed[&name].services.clone();
@@ -282,7 +256,7 @@ impl ServiceContainer {
     }
 
     pub(super) fn sweep_call_timeouts(&mut self, now: Micros) {
-        for id in self.rpc.expired(now) {
+        for id in self.rpc.expired(&mut self.agenda, now) {
             self.failover_call(id, now);
         }
     }
@@ -333,7 +307,7 @@ impl ServiceContainer {
                             format!("call {id} redirected to redundant provider {target}"),
                         );
                         self.dispatch_call(id, &call, payload, now);
-                        self.rpc.track(id, call);
+                        self.rpc.track(&mut self.agenda, id, call);
                     }
                     Err(e) => {
                         self.rpc.type_mismatches += 1;

@@ -15,13 +15,13 @@
 //! everything learned from that node — the cache invalidation the paper
 //! describes.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use marea_presentation::Name;
 use marea_protocol::messages::{AnnounceEntry, Provision, ServiceState};
 use marea_protocol::{Micros, NodeId, ProtoDuration, ServiceId};
 
+use crate::container::agenda::{Agenda, Key, Kind};
 use crate::service::CallPolicy;
 use crate::sweep::sorted_keys;
 
@@ -67,13 +67,6 @@ pub struct Directory {
     /// keeps announce application O(own catalogue) instead of a walk over
     /// every name known fleet-wide.
     node_provides: HashMap<NodeId, Vec<Name>>,
-    /// Lazy expiry heap over `(last_seen, node)`. At most one live entry
-    /// per node (`expiry_scheduled` tracks membership): a popped entry
-    /// whose node has been refreshed since re-arms itself at the fresher
-    /// `last_seen`, so the per-tick failure-detection sweep peeks one heap
-    /// entry instead of sorting every known node.
-    expiry: BinaryHeap<Reverse<(Micros, NodeId)>>,
-    expiry_scheduled: HashSet<NodeId>,
 }
 
 impl Directory {
@@ -116,7 +109,6 @@ impl Directory {
                 catalogue_digest,
             },
         );
-        self.schedule_expiry(node, now);
     }
 
     /// Records a heartbeat. Heartbeats refresh the FEC capability too
@@ -131,56 +123,40 @@ impl Directory {
         fec_cap: u8,
         now: Micros,
     ) {
-        match self.nodes.get_mut(&node) {
+        let container = match self.nodes.get_mut(&node) {
             Some(info) if info.incarnation == incarnation => {
                 info.last_seen = now;
                 info.load_permille = load_permille;
                 info.fec_cap = fec_cap;
+                return;
             }
-            Some(info) if info.incarnation < incarnation => {
+            Some(info) if info.incarnation > incarnation => return, // an old life's heartbeat
+            Some(info) => {
                 // Missed the Hello of a reboot: resync.
                 let container = info.container.clone();
                 self.purge_node(node);
-                self.nodes.insert(
-                    node,
-                    NodeInfo {
-                        container,
-                        incarnation,
-                        last_seen: now,
-                        load_permille,
-                        fec_cap,
-                        catalogue_digest: None,
-                    },
-                );
+                container
             }
-            Some(_) => return, // stale heartbeat from an old incarnation
-            None => {
-                // Heartbeat before Hello (lost datagram): create a minimal
-                // record so liveness tracking works; Announce will fill it.
-                self.nodes.insert(
-                    node,
-                    NodeInfo {
-                        container: Name::new("unknown").expect("literal"),
-                        incarnation,
-                        last_seen: now,
-                        load_permille,
-                        fec_cap,
-                        catalogue_digest: None,
-                    },
-                );
-            }
-        }
-        self.schedule_expiry(node, now);
+            // Heartbeat before Hello (lost datagram): create a minimal
+            // record so liveness tracking works; Announce will fill it.
+            None => Name::new("unknown").expect("literal"),
+        };
+        let info = NodeInfo {
+            container,
+            incarnation,
+            last_seen: now,
+            load_permille,
+            fec_cap,
+            catalogue_digest: None,
+        };
+        self.nodes.insert(node, info);
     }
 
     /// Replaces everything known about `node`'s services with an announce.
     pub fn apply_announce(&mut self, node: NodeId, entries: &[AnnounceEntry], now: Micros) {
         self.purge_node_providers(node);
-        if self.nodes.contains_key(&node) {
-            if let Some(info) = self.nodes.get_mut(&node) {
-                info.last_seen = now;
-            }
-            self.schedule_expiry(node, now);
+        if let Some(info) = self.nodes.get_mut(&node) {
+            info.last_seen = now;
         }
         let mut names: Vec<Name> = Vec::new();
         for entry in entries {
@@ -227,36 +203,45 @@ impl Directory {
         self.purge_node(node);
     }
 
-    /// Drops nodes silent for longer than `timeout`; returns who died.
+    /// Puts `node`'s heartbeat timeout on the agenda: due `timeout` after
+    /// it was last seen. Call after every `Hello` or heartbeat, the only
+    /// inputs that add a node. A node keeps one entry, however often it
+    /// is refreshed; [`Directory::expire`] re-arms it when it surfaces.
+    pub(crate) fn watch(&self, agenda: &mut Agenda, node: NodeId, timeout: ProtoDuration) {
+        if let Some(info) = self.nodes.get(&node) {
+            agenda.arm(Kind::NodeExpiry, info.last_seen + timeout, Key::Id(u64::from(node.0)));
+        }
+    }
+
+    /// Drops nodes silent for `timeout` or longer; returns who died.
     ///
     /// This is the failure-detection sweep: every returned node's cached
     /// provisions were purged ("the containers are able to clear and update
-    /// their caches").
-    pub fn expire(&mut self, now: Micros, timeout: ProtoDuration) -> Vec<NodeId> {
+    /// their caches"). Only the due heartbeat timeouts on the agenda are
+    /// visited; a node refreshed since its entry was armed is re-armed at
+    /// its fresher deadline.
+    pub(crate) fn expire(
+        &mut self,
+        agenda: &mut Agenda,
+        now: Micros,
+        timeout: ProtoDuration,
+    ) -> Vec<NodeId> {
         let mut dead: Vec<NodeId> = Vec::new();
-        while let Some(&Reverse((seen, node))) = self.expiry.peek() {
-            if now.saturating_since(seen) < timeout {
-                break;
-            }
-            self.expiry.pop();
-            match self.nodes.get(&node) {
-                Some(info) if info.last_seen > seen => {
-                    // Refreshed since queued: re-arm at the fresher deadline.
-                    self.expiry.push(Reverse((info.last_seen, node)));
-                }
-                Some(_) => {
-                    self.expiry_scheduled.remove(&node);
-                    dead.push(node);
-                    self.purge_node(node);
-                }
-                None => {
-                    // Left via `Bye` while still queued: drop the entry.
-                    self.expiry_scheduled.remove(&node);
-                }
+        while let Some((_, key)) = agenda.pop_due(Kind::NodeExpiry, now) {
+            let Key::Id(raw) = key else { continue };
+            let node = NodeId(raw as u32);
+            // Gone (left via `Bye`) while armed: nothing to do.
+            let Some(info) = self.nodes.get(&node) else { continue };
+            let due = info.last_seen + timeout;
+            if due > now {
+                agenda.set(Kind::NodeExpiry, due, Key::Id(raw));
+            } else {
+                dead.push(node);
+                self.purge_node(node);
             }
         }
         // Stable order: callers react to each death with sends/failovers,
-        // which must not depend on heap pop order among equal deadlines.
+        // which must not depend on pop order among equal deadlines.
         dead.sort_unstable();
         dead
     }
@@ -278,21 +263,11 @@ impl Directory {
         }
     }
 
-    /// Queues `node` on the expiry heap if it is not already there. The
-    /// heap holds at most one entry per node; refreshes are absorbed by
-    /// the re-arm-on-pop in [`Directory::expire`].
-    fn schedule_expiry(&mut self, node: NodeId, last_seen: Micros) {
-        if self.expiry_scheduled.insert(node) {
-            self.expiry.push(Reverse((last_seen, node)));
-        }
-    }
-
     /// Refreshes `node`'s liveness without touching its catalogue — a
     /// digest receipt counts as proof of life just like a full announce.
     pub fn touch(&mut self, node: NodeId, now: Micros) {
         if let Some(info) = self.nodes.get_mut(&node) {
             info.last_seen = now;
-            self.schedule_expiry(node, now);
         }
     }
 
@@ -424,6 +399,16 @@ mod tests {
         }
     }
 
+    const TIMEOUT: ProtoDuration = ProtoDuration(2_000_000);
+
+    /// Arms every known node's timeout, as the container does after each
+    /// `Hello` or heartbeat it applies (arming is idempotent).
+    fn watch_all(d: &Directory, agenda: &mut Agenda) {
+        for node in d.nodes() {
+            d.watch(agenda, node, TIMEOUT);
+        }
+    }
+
     fn dir_with_two_storages() -> Directory {
         let mut d = Directory::new();
         d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros(0));
@@ -467,9 +452,12 @@ mod tests {
     #[test]
     fn heartbeat_timeout_purges_cache() {
         let mut d = dir_with_two_storages();
+        let mut agenda = Agenda::default();
+        watch_all(&d, &mut agenda);
         d.apply_heartbeat(NodeId(2), 1, 0, 4, Micros::from_millis(900));
+        watch_all(&d, &mut agenda);
         // Node 3 silent since t=0; node 2 heartbeated at 900ms.
-        let dead = d.expire(Micros::from_millis(2100), ProtoDuration::from_secs(2));
+        let dead = d.expire(&mut agenda, Micros::from_millis(2100), TIMEOUT);
         assert_eq!(dead, vec![NodeId(3)]);
         assert!(!d.node_alive(NodeId(3)));
         let remaining = d.providers("storage/store");
@@ -540,27 +528,40 @@ mod tests {
     #[test]
     fn expire_rearms_refreshed_nodes_and_catches_them_later() {
         let mut d = dir_with_two_storages();
-        // Both nodes refresh; their original heap entries are stale.
+        let mut agenda = Agenda::default();
+        watch_all(&d, &mut agenda);
+        // Both nodes refresh; their t=0 agenda entries (due 2s) go stale
+        // and stay the only ones: a refresh does not arm a second entry.
         d.apply_heartbeat(NodeId(2), 1, 0, 4, Micros::from_millis(1500));
         d.apply_heartbeat(NodeId(3), 1, 0, 4, Micros::from_millis(1800));
-        // At 2.1s with a 2s timeout the t=0 entries pop but re-arm.
-        assert!(d.expire(Micros::from_millis(2100), ProtoDuration::from_secs(2)).is_empty());
+        watch_all(&d, &mut agenda);
+        assert_eq!(agenda.next_due(), Some(Micros::from_secs(2)));
+        // At 2.1s the t=0 entries pop but re-arm at the fresher deadlines.
+        assert!(d.expire(&mut agenda, Micros::from_millis(2100), TIMEOUT).is_empty());
         assert!(d.node_alive(NodeId(2)) && d.node_alive(NodeId(3)));
+        assert_eq!(agenda.next_due(), Some(Micros::from_millis(3500)));
         // Node 2 goes silent after 1.5s; the re-armed entry catches it.
         d.apply_heartbeat(NodeId(3), 1, 0, 4, Micros::from_millis(3000));
-        let dead = d.expire(Micros::from_millis(3600), ProtoDuration::from_secs(2));
+        watch_all(&d, &mut agenda);
+        let dead = d.expire(&mut agenda, Micros::from_millis(3600), TIMEOUT);
         assert_eq!(dead, vec![NodeId(2)]);
         assert!(d.providers("storage/store").len() == 1);
+        // Node 3 keeps its one entry (due 3.8s), re-armed when it surfaces.
+        assert_eq!(agenda.next_due(), Some(Micros::from_millis(3800)));
     }
 
     #[test]
     fn rejoin_after_bye_is_tracked_again() {
         let mut d = dir_with_two_storages();
+        let mut agenda = Agenda::default();
+        watch_all(&d, &mut agenda);
         d.apply_bye(NodeId(3));
         d.apply_hello(NodeId(3), name("n3"), 2, 4, Micros::from_millis(100));
+        watch_all(&d, &mut agenda);
         // Silent after the rejoin: must still expire.
         d.apply_heartbeat(NodeId(2), 1, 0, 4, Micros::from_millis(2200));
-        let dead = d.expire(Micros::from_millis(2300), ProtoDuration::from_secs(2));
+        watch_all(&d, &mut agenda);
+        let dead = d.expire(&mut agenda, Micros::from_millis(2300), TIMEOUT);
         assert_eq!(dead, vec![NodeId(3)]);
     }
 

@@ -51,13 +51,11 @@ pub(crate) struct SubscribedEvent {
     pub provider: Option<ServiceId>,
     /// Payload schema learned from the announcement.
     pub ty: Option<DataType>,
-    /// SubscribeEvent was sent to the current provider.
-    pub subscribe_sent: bool,
 }
 
 impl SubscribedEvent {
     pub fn new() -> Self {
-        SubscribedEvent { subscribers: Vec::new(), provider: None, ty: None, subscribe_sent: false }
+        SubscribedEvent { subscribers: Vec::new(), provider: None, ty: None }
     }
 
     /// Subscribing service sequences (delivery fan-out list).
@@ -90,7 +88,6 @@ impl SubscribedEvent {
     /// Drops the provider binding for re-resolution.
     pub fn unbind(&mut self) {
         self.provider = None;
-        self.subscribe_sent = false;
         self.ty = None;
     }
 }
@@ -122,11 +119,9 @@ mod tests {
         let mut s = SubscribedEvent::new();
         assert!(s.provider.is_none());
         s.provider = Some(ServiceId::new(NodeId(1), 1));
-        s.subscribe_sent = true;
         s.ty = Some(DataType::U8);
         s.unbind();
         assert!(s.provider.is_none());
-        assert!(!s.subscribe_sent);
         assert!(s.ty.is_none());
     }
 

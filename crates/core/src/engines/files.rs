@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use marea_presentation::Name;
 use marea_protocol::mftp::{FileReceiver, FileSender};
-use marea_protocol::{Message, Micros, NodeId, TransferId};
+use marea_protocol::{Message, NodeId, TransferId};
 
 /// Publisher-side transfer session state.
 #[derive(Debug)]
@@ -15,8 +15,6 @@ pub(crate) struct OutgoingFile {
     pub sender: FileSender,
     /// Local service owning the resource.
     pub owner_seq: u32,
-    /// Last completion-query emission.
-    pub last_query_at: Option<Micros>,
     /// `DistributionComplete` already delivered for the current revision.
     pub complete_notified: bool,
 }

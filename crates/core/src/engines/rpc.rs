@@ -1,7 +1,6 @@
 //! Remote invocation bookkeeping and argument marshalling (paper §4.3).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use bytes::{Bytes, BytesMut};
 
@@ -10,6 +9,7 @@ use marea_presentation::{Name, Value};
 use marea_protocol::messages::FunctionSig;
 use marea_protocol::{Micros, ProtoDuration, RequestId, ServiceId};
 
+use crate::container::agenda::{Agenda, Key, Kind};
 use crate::error::CallError;
 use crate::service::CallPolicy;
 use crate::trace::TraceId;
@@ -82,11 +82,6 @@ pub(crate) struct RpcEngine {
     /// Re-dispatches per function name (the per-subscription breakdown
     /// behind [`ServiceContainer::fn_retries`](crate::ServiceContainer::fn_retries)).
     pub retry_counts: HashMap<Name, u64>,
-    /// Due-date heap over `(deadline, request)`: the per-tick timeout
-    /// sweep peeks the earliest entry instead of walking every pending
-    /// call. Entries go stale when a failover re-arms the call with a
-    /// later deadline; the sweep re-checks against `pending` on pop.
-    deadline_heap: BinaryHeap<Reverse<(Micros, RequestId)>>,
 }
 
 impl RpcEngine {
@@ -97,32 +92,30 @@ impl RpcEngine {
     }
 
     /// Registers (or, after a failover, re-registers) a pending call and
-    /// queues its reply deadline on the due-date heap.
-    pub fn track(&mut self, id: RequestId, call: PendingCall) {
-        self.deadline_heap.push(Reverse((call.deadline, id)));
+    /// puts its reply deadline on the agenda. A call re-registered with a
+    /// later deadline keeps its earlier entry; the sweep re-arms it.
+    pub fn track(&mut self, agenda: &mut Agenda, id: RequestId, call: PendingCall) {
+        agenda.arm(Kind::CallDeadline, call.deadline, Key::Id(id.0));
         self.pending.insert(id, call);
     }
 
     /// Pending calls whose deadline has passed at `now`.
-    pub fn expired(&mut self, now: Micros) -> Vec<RequestId> {
+    pub fn expired(&mut self, agenda: &mut Agenda, now: Micros) -> Vec<RequestId> {
         let mut out: Vec<RequestId> = Vec::new();
-        while let Some(&Reverse((deadline, id))) = self.deadline_heap.peek() {
-            if deadline > now {
-                break;
-            }
-            self.deadline_heap.pop();
+        while let Some((_, key)) = agenda.pop_due(Kind::CallDeadline, now) {
+            let Key::Id(raw) = key else { continue };
+            let id = RequestId(raw);
             match self.pending.get(&id) {
                 Some(call) if call.deadline > now => {
-                    // Re-dispatched since this entry was queued: re-arm at
+                    // Re-dispatched since this entry was armed: re-arm at
                     // the fresher deadline.
-                    self.deadline_heap.push(Reverse((call.deadline, id)));
+                    agenda.set(Kind::CallDeadline, call.deadline, Key::Id(raw));
                 }
                 Some(_) => out.push(id),
-                None => {} // reply landed (or call failed) while queued
+                None => {} // reply landed (or call failed) while armed
             }
         }
         out.sort();
-        out.dedup();
         out
     }
 
@@ -264,51 +257,38 @@ mod tests {
         assert!(decode_args(&bytes, &sig(), &CompactCodec).is_err());
     }
 
+    fn pending(function: &str, node: u32, deadline: u64) -> PendingCall {
+        PendingCall {
+            caller_seq: 0,
+            function: Name::new(function).unwrap(),
+            args: vec![],
+            target: ServiceId::new(NodeId(node), 1),
+            returns: None,
+            deadline: Micros(deadline),
+            attempt_timeout: ProtoDuration(deadline),
+            attempts: 1,
+            max_attempts: 3,
+            policy: CallPolicy::Dynamic,
+            started_at: Micros::ZERO,
+            trace: TraceId::NONE,
+        }
+    }
+
     #[test]
     fn engine_expiry_and_targeting() {
         let mut e = RpcEngine::default();
-        e.track(
-            RequestId(1),
-            PendingCall {
-                caller_seq: 0,
-                function: Name::new("f").unwrap(),
-                args: vec![],
-                target: ServiceId::new(NodeId(2), 1),
-                returns: None,
-                deadline: Micros(100),
-                attempt_timeout: ProtoDuration::from_millis(100),
-                attempts: 1,
-                max_attempts: 3,
-                policy: CallPolicy::Dynamic,
-                started_at: Micros::ZERO,
-                trace: TraceId::NONE,
-            },
-        );
-        e.track(
-            RequestId(2),
-            PendingCall {
-                caller_seq: 0,
-                function: Name::new("g").unwrap(),
-                args: vec![],
-                target: ServiceId::new(NodeId(3), 1),
-                returns: None,
-                deadline: Micros(500),
-                attempt_timeout: ProtoDuration::from_millis(500),
-                attempts: 1,
-                max_attempts: 3,
-                policy: CallPolicy::Dynamic,
-                started_at: Micros::ZERO,
-                trace: TraceId::NONE,
-            },
-        );
-        assert_eq!(e.expired(Micros(200)), vec![RequestId(1)]);
+        let mut agenda = Agenda::default();
+        e.track(&mut agenda, RequestId(1), pending("f", 2, 100));
+        e.track(&mut agenda, RequestId(2), pending("g", 3, 500));
+        assert_eq!(e.expired(&mut agenda, Micros(200)), vec![RequestId(1)]);
         assert_eq!(e.targeting_node(NodeId(3)), vec![RequestId(2)]);
-        // A failover re-tracks the call with a later deadline: the stale
-        // heap entry must not expire it early.
+        // A failover re-tracks the call with a later deadline: the earlier
+        // agenda entry must not expire it early.
         let mut call = e.pending.remove(&RequestId(2)).unwrap();
         call.deadline = Micros(900);
-        e.track(RequestId(2), call);
-        assert!(e.expired(Micros(600)).is_empty(), "stale entry re-arms, no early expiry");
-        assert_eq!(e.expired(Micros(1000)), vec![RequestId(2)]);
+        e.track(&mut agenda, RequestId(2), call);
+        assert!(e.expired(&mut agenda, Micros(600)).is_empty(), "re-armed, no early expiry");
+        assert_eq!(agenda.due_of(Kind::CallDeadline, &Key::Id(2)), Some(Micros(900)));
+        assert_eq!(e.expired(&mut agenda, Micros(1000)), vec![RequestId(2)]);
     }
 }

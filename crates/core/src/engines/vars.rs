@@ -1,13 +1,13 @@
 //! Variable primitive bookkeeping (paper §4.1).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use bytes::Bytes;
 
 use marea_presentation::{DataType, Name, Value};
 use marea_protocol::{Micros, NodeId, ServiceId};
 
+use crate::container::agenda::{Agenda, Key, Kind};
 use crate::qos::VarQos;
 
 /// Publisher-side state of one declared variable.
@@ -77,10 +77,6 @@ pub(crate) struct SubscribedVar {
     pub last_seq: Option<u64>,
     /// A timeout warning has been raised and no sample seen since.
     pub timed_out: bool,
-    /// SubscribeVar was sent to the current provider.
-    pub subscribe_sent: bool,
-    /// This channel has a live entry on the engine's deadline heap.
-    pub deadline_armed: bool,
 }
 
 impl SubscribedVar {
@@ -101,8 +97,6 @@ impl SubscribedVar {
             since: None,
             last_seq: None,
             timed_out: false,
-            subscribe_sent: false,
-            deadline_armed: false,
         }
     }
 
@@ -126,10 +120,9 @@ impl SubscribedVar {
         }
     }
 
-    /// The earliest instant at which [`SubscribedVar::deadline_missed`]
-    /// can turn true (the comparison there is strict, hence the +1µs), or
-    /// `None` while no deadline applies — unbound, already warned, or
-    /// aperiodic.
+    /// The instant the loss deadline is missed: more than the deadline
+    /// after the last sample (or the bind), hence the +1µs. `None` while
+    /// no deadline applies — unbound, already warned, or aperiodic.
     pub fn deadline_due(&self) -> Option<Micros> {
         if self.timed_out || self.provider.is_none() {
             return None;
@@ -145,16 +138,7 @@ impl SubscribedVar {
 
     /// Checks whether the deadline has been missed at `now`.
     pub fn deadline_missed(&self, now: Micros) -> bool {
-        if self.timed_out || self.provider.is_none() {
-            return false;
-        }
-        let Some(deadline) = self.deadline_us() else { return false };
-        let anchor = match (self.last_rx, self.since) {
-            (Some(rx), _) => rx,
-            (None, Some(s)) => s,
-            (None, None) => return false,
-        };
-        now.saturating_since(anchor).as_micros() > deadline
+        self.deadline_due().is_some_and(|due| now >= due)
     }
 
     /// Records a sample arrival; returns `false` when the sample must be
@@ -184,7 +168,6 @@ impl SubscribedVar {
     /// re-resolved against the directory.
     pub fn unbind(&mut self) {
         self.provider = None;
-        self.subscribe_sent = false;
         self.ty = None;
         // Do not clear last_seq: a *new* provider instance restarts
         // numbering, so clear it after rebinding instead. The history ring
@@ -222,49 +205,39 @@ pub(crate) struct VarEngine {
     /// Samples whose value disagreed with the declared schema (see
     /// [`TypeMismatchStats::vars`](crate::stats::TypeMismatchStats)).
     pub type_mismatches: u64,
-    /// Due-date heap over `(deadline_due, name)`: the per-tick deadline
-    /// sweep peeks the earliest entry instead of walking every channel.
-    /// At most one live entry per channel ([`SubscribedVar::deadline_armed`]);
-    /// a popped entry whose channel got a sample since re-arms at the
-    /// pushed-back deadline.
-    deadline_heap: BinaryHeap<Reverse<(Micros, Name)>>,
 }
 
 impl VarEngine {
-    /// Ensures `name`'s loss deadline is queued on the due-date heap.
-    /// Call after any event that (re)starts the deadline clock: a bind or
-    /// an accepted sample. Idempotent while already armed.
-    pub fn arm_deadline(&mut self, name: &Name) {
-        let Some(sub) = self.subscribed.get_mut(name) else { return };
-        if sub.deadline_armed {
+    /// Ensures `name`'s loss deadline is on the agenda. Call after any
+    /// event that (re)starts the deadline clock: a bind or an accepted
+    /// sample. A channel already on the agenda keeps its entry; the
+    /// sweep re-arms it at the pushed-back deadline when it surfaces.
+    pub fn arm_deadline(&mut self, agenda: &mut Agenda, name: &Name) {
+        let Some(sub) = self.subscribed.get(name) else { return };
+        let key = Key::Name(name.clone());
+        if agenda.due_of(Kind::VarDeadline, &key).is_some() {
             return;
         }
         if let Some(due) = sub.deadline_due() {
-            sub.deadline_armed = true;
-            self.deadline_heap.push(Reverse((due, name.clone())));
+            agenda.set(Kind::VarDeadline, due, key);
         }
     }
 
     /// Variables whose deadline has been missed at `now` (marks them
     /// warned and counts the miss against the subscription's contract).
-    pub fn sweep_deadlines(&mut self, now: Micros) -> Vec<Name> {
+    pub fn sweep_deadlines(&mut self, agenda: &mut Agenda, now: Micros) -> Vec<Name> {
         let mut out = Vec::new();
-        while let Some(Reverse((due, _))) = self.deadline_heap.peek() {
-            if *due > now {
-                break;
-            }
-            let Some(Reverse((_, name))) = self.deadline_heap.pop() else { break };
+        while let Some((_, key)) = agenda.pop_due(Kind::VarDeadline, now) {
+            let Key::Name(name) = key else { continue };
             let Some(sub) = self.subscribed.get_mut(&name) else { continue };
-            sub.deadline_armed = false;
             if sub.deadline_missed(now) {
                 sub.timed_out = true;
                 sub.deadline_misses += 1;
                 out.push(name);
             } else if let Some(due) = sub.deadline_due() {
                 // A sample (or rebind) moved the anchor since this entry
-                // was queued: re-arm at the pushed-back deadline.
-                sub.deadline_armed = true;
-                self.deadline_heap.push(Reverse((due, name)));
+                // was armed: re-arm at the pushed-back deadline.
+                agenda.set(Kind::VarDeadline, due, Key::Name(name));
             }
         }
         out.sort();
@@ -379,37 +352,47 @@ mod tests {
     #[test]
     fn sweep_marks_counts_and_sorts() {
         let mut e = VarEngine::default();
+        let mut agenda = Agenda::default();
         let mut a = sub();
         a.since = Some(Micros::ZERO);
         let mut b = sub();
         b.since = Some(Micros::ZERO);
         e.subscribed.insert(Name::new("zvar").unwrap(), a);
         e.subscribed.insert(Name::new("avar").unwrap(), b);
-        e.arm_deadline(&Name::new("zvar").unwrap());
-        e.arm_deadline(&Name::new("avar").unwrap());
-        let warned = e.sweep_deadlines(Micros::from_secs(1));
+        e.arm_deadline(&mut agenda, &Name::new("zvar").unwrap());
+        e.arm_deadline(&mut agenda, &Name::new("avar").unwrap());
+        let warned = e.sweep_deadlines(&mut agenda, Micros::from_secs(1));
         assert_eq!(warned.len(), 2);
         assert!(warned[0] < warned[1]);
-        assert!(e.sweep_deadlines(Micros::from_secs(2)).is_empty(), "warn once");
+        assert!(e.sweep_deadlines(&mut agenda, Micros::from_secs(2)).is_empty(), "warn once");
         assert_eq!(e.total_deadline_misses(), 2, "misses counted per subscription");
     }
 
     #[test]
     fn deadline_heap_rearms_refreshed_channels() {
         let mut e = VarEngine::default();
+        let mut agenda = Agenda::default();
         let mut a = sub();
         a.since = Some(Micros::ZERO);
         let n = Name::new("v").unwrap();
+        let key = Key::Name(n.clone());
         e.subscribed.insert(n.clone(), a);
-        e.arm_deadline(&n);
-        assert!(e.subscribed[&n].deadline_armed);
-        // A sample at 90ms makes the t=0 heap entry (due ~150ms: 3 nominal
-        // periods of 50ms) stale.
+        e.arm_deadline(&mut agenda, &n);
+        // 3 nominal periods of 50ms past the t=0 bind, plus the strict 1µs.
+        assert_eq!(agenda.due_of(Kind::VarDeadline, &key), Some(Micros(150_001)));
+        // A sample at 90ms makes that entry stale; arming again keeps it.
         e.subscribed.get_mut(&n).unwrap().accept(1, Micros(90_000));
-        assert!(e.sweep_deadlines(Micros(160_000)).is_empty(), "refreshed: no miss");
-        assert!(e.subscribed[&n].deadline_armed, "stale entry re-armed itself");
-        // Silent since 90ms: the re-armed entry fires (deadline 240ms).
-        assert_eq!(e.sweep_deadlines(Micros(250_000)), vec![n.clone()]);
-        assert!(!e.subscribed[&n].deadline_armed, "warned channels leave the heap");
+        e.arm_deadline(&mut agenda, &n);
+        assert_eq!(agenda.due_of(Kind::VarDeadline, &key), Some(Micros(150_001)));
+        assert!(e.sweep_deadlines(&mut agenda, Micros(160_000)).is_empty(), "refreshed: no miss");
+        assert_eq!(
+            agenda.due_of(Kind::VarDeadline, &key),
+            Some(Micros(240_001)),
+            "the stale entry re-armed itself at the pushed-back deadline"
+        );
+        // Silent since 90ms: the re-armed entry fires.
+        assert_eq!(e.sweep_deadlines(&mut agenda, Micros(250_000)), vec![n.clone()]);
+        assert_eq!(agenda.due_of(Kind::VarDeadline, &key), None, "warned channels leave");
+        assert_eq!(agenda.next_due(), None);
     }
 }

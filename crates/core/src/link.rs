@@ -249,14 +249,17 @@ impl ReliableLink {
         self.backlog.is_empty() && self.tx.inflight_len() == 0 && !self.ack_due
     }
 
-    /// `true` while [`ReliableLink::poll`] could still produce output:
-    /// traffic queued, in flight, or awaiting ack emission — or a partial
-    /// FEC group whose age-triggered parity flush is pending. A link that
-    /// does not need polling can be left out of the per-tick poll sweep
-    /// entirely; every input that re-activates it (send, data, ack)
-    /// re-registers it with the container's active set.
-    pub fn needs_poll(&self) -> bool {
-        !self.is_quiescent() || self.fec.group_opened_at.is_some()
+    /// The earliest time [`ReliableLink::poll`] can produce output: `now`
+    /// while an ack is owed or the backlog can move, else the first
+    /// retransmission deadline or the age flush of a partial FEC group.
+    /// `None` when the link is quiescent; every input that re-activates
+    /// it (send, data, ack) puts it back on the container's agenda.
+    pub(crate) fn next_poll_due(&self, now: Micros) -> Option<Micros> {
+        if self.ack_due || (!self.backlog.is_empty() && self.tx.can_send()) {
+            return Some(now);
+        }
+        let flush = self.fec.group_opened_at.map(|opened| opened + FEC_FLUSH_AFTER);
+        [self.tx.next_deadline(), flush].into_iter().flatten().min()
     }
 
     /// Drains the ARQ seqs retransmitted since the last call (the
@@ -328,15 +331,25 @@ mod tests {
     #[test]
     fn needs_poll_tracks_open_fec_group() {
         let mut l = link(2);
-        assert!(!l.needs_poll(), "fresh link: nothing to poll");
+        assert_eq!(l.next_poll_due(Micros::ZERO), None, "fresh link: nothing to poll");
+        l.on_data(0, Bytes::from_static(b"x"));
+        assert_eq!(l.next_poll_due(Micros(7)), Some(Micros(7)), "an owed ack is due now");
+        l.poll(Micros(7));
+        l.send(Bytes::from_static(b"y"), Micros(100));
+        assert_eq!(l.next_poll_due(Micros(100)), Some(Micros(10_100)), "the 10ms RTO");
+        l.on_ack(1, 0, 0, Micros(200));
         l.negotiate_fec(FecRate::Medium);
-        l.send(Bytes::from_static(b"solo"), Micros::ZERO);
-        l.on_ack(1, 0, 0, Micros(1));
+        l.send(Bytes::from_static(b"solo"), Micros(300));
+        l.on_ack(2, 0, 0, Micros(301));
         assert!(l.is_quiescent(), "nothing queued or in flight");
-        assert!(l.needs_poll(), "open partial FEC group still needs the age flush");
+        assert_eq!(
+            l.next_poll_due(Micros(301)),
+            Some(Micros(5_300)),
+            "open partial FEC group still needs the age flush"
+        );
         let (out, _) = l.poll(Micros(10_000));
         assert!(out.iter().any(|m| matches!(m, Message::FecShard { .. })));
-        assert!(!l.needs_poll(), "flushed: the link may leave the poll sweep");
+        assert_eq!(l.next_poll_due(Micros(10_000)), None, "flushed: off the agenda");
     }
 
     #[test]

@@ -7,13 +7,11 @@
 //!
 //! MAREA's deterministic container executes handler invocations cooperatively
 //! inside `tick`, bounded by a per-tick budget; the *scheduling policy* —
-//! which queued invocation runs next — is what this module makes pluggable.
-//! [`PriorityScheduler`] implements the paper's fixed priorities per
-//! primitive; [`FifoScheduler`] is the ablation baseline for experiment C5
-//! (soft real-time behaviour under load).
+//! which queued invocation runs next — is what [`SchedulerKind`] selects:
+//! the paper's fixed priorities per primitive, or FIFO, the ablation
+//! baseline for experiment C5 (soft real-time behaviour under load).
 
 use std::collections::VecDeque;
-use std::fmt;
 
 use bytes::Bytes;
 
@@ -51,7 +49,7 @@ impl Priority {
 
 /// One queued handler invocation.
 #[derive(Debug)]
-pub struct Task {
+pub(crate) struct Task {
     /// Scheduling class.
     pub priority: Priority,
     /// Admission order, used as FIFO tie-break within a priority.
@@ -64,7 +62,7 @@ pub struct Task {
 
 /// The handler to invoke.
 #[derive(Debug)]
-pub enum TaskPayload {
+pub(crate) enum TaskPayload {
     /// Run `on_start`.
     Start,
     /// Run `on_stop`.
@@ -141,16 +139,37 @@ pub enum TaskPayload {
     },
 }
 
-/// A pluggable task queue.
-///
-/// Implementations must be deterministic: identical push sequences produce
-/// identical pop sequences.
-pub trait Scheduler: Send + fmt::Debug {
+/// The task queue: one FIFO lane per priority, lowest priority first —
+/// or, under [`SchedulerKind::Fifo`], a single lane in admission order.
+/// Deterministic: identical push sequences produce identical pops.
+#[derive(Debug)]
+pub(crate) struct Scheduler {
+    fifo: bool,
+    // One lane per priority keeps pop O(#priorities).
+    lanes: Vec<(Priority, VecDeque<Task>)>,
+    len: usize,
+}
+
+impl Scheduler {
     /// Admits a task.
-    fn push(&mut self, task: Task);
+    pub fn push(&mut self, task: Task) {
+        let priority = if self.fifo { Priority::LIFECYCLE } else { task.priority };
+        match self.lanes.iter().position(|(p, _)| *p == priority) {
+            Some(i) => self.lanes[i].1.push_back(task),
+            None => {
+                self.lanes.push((priority, VecDeque::from([task])));
+                self.lanes.sort_by_key(|(p, _)| *p);
+            }
+        }
+        self.len += 1;
+    }
 
     /// Removes the next task to run.
-    fn pop(&mut self) -> Option<Task>;
+    pub fn pop(&mut self) -> Option<Task> {
+        let task = self.lanes.iter_mut().find_map(|(_, lane)| lane.pop_front())?;
+        self.len -= 1;
+        Some(task)
+    }
 
     /// Removes and returns the *oldest* queued task matching `pred`
     /// (lowest admission order), or `None` when nothing matches.
@@ -159,58 +178,7 @@ pub trait Scheduler: Send + fmt::Debug {
     /// [`DropPolicy::DropOldest`](crate::DropPolicy::DropOldest) on
     /// bounded event inboxes: the stalest queued delivery of an
     /// overflowing subscription is retracted to admit the fresh one.
-    fn remove_matching(&mut self, pred: &mut dyn FnMut(&Task) -> bool) -> Option<Task>;
-
-    /// Queued task count.
-    fn len(&self) -> usize;
-
-    /// `true` when no tasks are queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Fixed-priority scheduler (the paper's policy): lower [`Priority`] first,
-/// FIFO within a priority.
-#[derive(Debug, Default)]
-pub struct PriorityScheduler {
-    // One FIFO lane per priority keeps pop O(#priorities) and strictly
-    // deterministic.
-    lanes: Vec<(Priority, VecDeque<Task>)>,
-    len: usize,
-}
-
-impl PriorityScheduler {
-    /// Creates an empty scheduler.
-    pub fn new() -> Self {
-        PriorityScheduler::default()
-    }
-}
-
-impl Scheduler for PriorityScheduler {
-    fn push(&mut self, task: Task) {
-        let pos = self.lanes.iter().position(|(p, _)| *p == task.priority);
-        match pos {
-            Some(i) => self.lanes[i].1.push_back(task),
-            None => {
-                self.lanes.push((task.priority, VecDeque::from([task])));
-                self.lanes.sort_by_key(|(p, _)| *p);
-            }
-        }
-        self.len += 1;
-    }
-
-    fn pop(&mut self) -> Option<Task> {
-        for (_, lane) in self.lanes.iter_mut() {
-            if let Some(t) = lane.pop_front() {
-                self.len -= 1;
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    fn remove_matching(&mut self, pred: &mut dyn FnMut(&Task) -> bool) -> Option<Task> {
+    pub fn remove_matching(&mut self, mut pred: impl FnMut(&Task) -> bool) -> Option<Task> {
         // Within a lane tasks are FIFO, so the first match per lane is that
         // lane's oldest; the globally oldest is the one with the lowest
         // admission sequence across lanes.
@@ -227,41 +195,14 @@ impl Scheduler for PriorityScheduler {
         self.lanes[li].1.remove(i)
     }
 
-    fn len(&self) -> usize {
+    /// Queued task count.
+    pub fn len(&self) -> usize {
         self.len
     }
-}
 
-/// First-in-first-out scheduler, ignoring priorities — the ablation
-/// baseline for experiment C5.
-#[derive(Debug, Default)]
-pub struct FifoScheduler {
-    queue: VecDeque<Task>,
-}
-
-impl FifoScheduler {
-    /// Creates an empty scheduler.
-    pub fn new() -> Self {
-        FifoScheduler::default()
-    }
-}
-
-impl Scheduler for FifoScheduler {
-    fn push(&mut self, task: Task) {
-        self.queue.push_back(task);
-    }
-
-    fn pop(&mut self) -> Option<Task> {
-        self.queue.pop_front()
-    }
-
-    fn remove_matching(&mut self, pred: &mut dyn FnMut(&Task) -> bool) -> Option<Task> {
-        let i = self.queue.iter().position(pred)?;
-        self.queue.remove(i)
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len()
+    /// `true` when no tasks are queued.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
@@ -277,11 +218,8 @@ pub enum SchedulerKind {
 
 impl SchedulerKind {
     /// Instantiates the scheduler.
-    pub fn build(self) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerKind::Priority => Box::new(PriorityScheduler::new()),
-            SchedulerKind::Fifo => Box::new(FifoScheduler::new()),
-        }
+    pub(crate) fn build(self) -> Scheduler {
+        Scheduler { fifo: self == SchedulerKind::Fifo, lanes: Vec::new(), len: 0 }
     }
 }
 
@@ -300,7 +238,7 @@ mod tests {
 
     #[test]
     fn priority_scheduler_orders_by_priority_then_fifo() {
-        let mut s = PriorityScheduler::new();
+        let mut s = SchedulerKind::Priority.build();
         s.push(task(Priority::VARIABLE, 1));
         s.push(task(Priority::EVENT, 2));
         s.push(task(Priority::VARIABLE, 3));
@@ -313,7 +251,7 @@ mod tests {
 
     #[test]
     fn fifo_scheduler_ignores_priority() {
-        let mut s = FifoScheduler::new();
+        let mut s = SchedulerKind::Fifo.build();
         s.push(task(Priority::VARIABLE, 1));
         s.push(task(Priority::EVENT, 2));
         let order: Vec<u64> = std::iter::from_fn(|| s.pop()).map(|t| t.enqueued_seq).collect();
@@ -322,7 +260,7 @@ mod tests {
 
     #[test]
     fn len_tracks_pushes_and_pops() {
-        let mut s = PriorityScheduler::new();
+        let mut s = SchedulerKind::Priority.build();
         assert_eq!(s.len(), 0);
         s.push(task(Priority::CALL, 1));
         s.push(task(Priority::FILE, 2));
@@ -333,30 +271,30 @@ mod tests {
 
     #[test]
     fn remove_matching_takes_the_oldest_match() {
-        let mut s = PriorityScheduler::new();
+        let mut s = SchedulerKind::Priority.build();
         s.push(task(Priority::EVENT, 1));
         s.push(task(Priority::BULK, 2));
         s.push(task(Priority::BULK, 3));
         // Oldest BULK task is seq 2, even though EVENT pops first.
-        let t = s.remove_matching(&mut |t| t.priority == Priority::BULK).unwrap();
+        let t = s.remove_matching(|t| t.priority == Priority::BULK).unwrap();
         assert_eq!(t.enqueued_seq, 2);
         assert_eq!(s.len(), 2);
-        assert!(s.remove_matching(&mut |t| t.priority == Priority::FILE).is_none());
+        assert!(s.remove_matching(|t| t.priority == Priority::FILE).is_none());
         let order: Vec<u64> = std::iter::from_fn(|| s.pop()).map(|t| t.enqueued_seq).collect();
         assert_eq!(order, vec![1, 3]);
 
-        let mut f = FifoScheduler::new();
+        let mut f = SchedulerKind::Fifo.build();
         f.push(task(Priority::EVENT, 1));
         f.push(task(Priority::EVENT, 2));
-        let t = f.remove_matching(&mut |_| true).unwrap();
+        let t = f.remove_matching(|_| true).unwrap();
         assert_eq!(t.enqueued_seq, 1, "fifo: front is oldest");
         assert_eq!(f.len(), 1);
     }
 
     #[test]
     fn kind_builds_both() {
-        assert!(format!("{:?}", SchedulerKind::Priority.build()).contains("Priority"));
-        assert!(format!("{:?}", SchedulerKind::Fifo.build()).contains("Fifo"));
+        assert!(!SchedulerKind::Priority.build().fifo);
+        assert!(SchedulerKind::Fifo.build().fifo);
     }
 
     #[test]

@@ -6,8 +6,8 @@ mod common;
 use bytes::Bytes;
 use common::{obs_log, observations, Obs, Recorder, Scripted};
 use marea_core::{
-    ContainerConfig, EventPort, EventQos, FnPort, NodeId, ProtoDuration, ServiceDescriptor,
-    SimHarness, VarPort, VarQos,
+    ContainerConfig, ContainerStats, EventPort, EventQos, FnPort, NodeId, ProtoDuration,
+    ServiceDescriptor, SimHarness, VarPort, VarQos,
 };
 use marea_netsim::{LinkConfig, NetConfig};
 use marea_presentation::Value;
@@ -547,4 +547,63 @@ fn hello_bursts_are_debounced_to_one_pending_reannounce() {
     }
     assert_eq!(full, 1, "repeats collapse into one pending flush");
     assert!(digests >= 1, "steady-state announce slot is digest gossip");
+}
+
+#[test]
+fn zero_period_timer_fires_once_and_the_tick_returns() {
+    // Regression: a periodic timer with a zero period re-armed itself at
+    // `due + 0` forever, so `tick` never returned and queued a Timer task
+    // per pass. It now fires once, as a one-shot, and says so in the log.
+    let mut h = SimHarness::new(lan(5));
+    h.add_container(ContainerConfig::new("node", NodeId(1)));
+    let mut svc = Scripted::new(ServiceDescriptor::builder("ticker").build());
+    svc.on_start = Some(Box::new(|ctx| {
+        ctx.set_timer(ProtoDuration::from_millis(1), Some(ProtoDuration::ZERO));
+    }));
+    svc.on_timer = Some(Box::new(|ctx, _| ctx.log("fired")));
+    h.add_service(NodeId(1), Box::new(svc));
+    h.start_all();
+    h.run_for_millis(20);
+
+    let log: Vec<&str> =
+        h.container(NodeId(1)).unwrap().log_lines().map(|(_, l)| l.as_str()).collect();
+    assert_eq!(log.iter().filter(|l| **l == "fired").count(), 1, "fires once: {log:?}");
+    assert!(log.iter().any(|l| l.contains("zero period")), "the one-shot is logged: {log:?}");
+}
+
+#[test]
+fn idle_ticks_change_nothing_but_the_tick_count_until_the_heartbeat_is_due() {
+    // With nothing received, nothing queued and nothing on its agenda
+    // due, a tick only counts itself; the container wakes on exactly the
+    // tick its next heartbeat falls due.
+    use marea_core::ServiceContainer;
+    use marea_protocol::messages::Message;
+    use marea_protocol::{Frame, GroupId, Micros};
+    use marea_transport::{InProcHub, Transport};
+
+    let hub = InProcHub::new();
+    let transport = hub.attach(1);
+    let mut probe = hub.attach(2);
+    probe.join(GroupId::CONTROL.0);
+    let mut c = ServiceContainer::new(ContainerConfig::new("idle", NodeId(1)), Box::new(transport));
+    c.start(Micros(0));
+    c.tick(Micros(0)); // first heartbeat; the next is due at 500 ms
+    while probe.recv().is_some() {}
+
+    let mut before = c.stats();
+    let ring = c.trace_ring().clone();
+    for t in (100..500_000).step_by(100) {
+        c.tick(Micros(t));
+        assert!(probe.recv().is_none(), "idle tick at {t} µs sent a frame");
+        let after = c.stats();
+        assert_eq!(after.ticks, before.ticks + 1);
+        assert_eq!(ContainerStats { ticks: before.ticks, ..after }, before, "at {t} µs");
+        before = after;
+    }
+    assert_eq!(c.trace_ring(), &ring, "idle ticks record no trace event");
+
+    c.tick(Micros(500_000));
+    let frame = Frame::decode(&probe.recv().expect("the heartbeat tick sends").1).unwrap();
+    assert!(matches!(Message::from_frame(&frame), Ok(Message::Heartbeat { .. })));
+    assert_eq!(c.stats().frames_out, before.frames_out + 1);
 }
