@@ -24,10 +24,13 @@
 //! complete with the flight-recorder tail and assembled causal chain —
 //! the same evidence the scenario corpus attaches in CI.
 
+use std::io::{self, Write};
+
+use marea_core::json::Object;
 use marea_core::scenario::corpus::{self, ScenarioConfig};
 use marea_core::scenario::{ScenarioReport, Violation};
 use marea_core::trace::{render_event, LatencyHistogram, TraceEvent, TraceId};
-use marea_core::{NodeId, SimHarness};
+use marea_core::{ContainerStats, NodeId, SimHarness};
 
 enum Mode {
     Dump,
@@ -112,36 +115,20 @@ fn parse_args() -> Opts {
     opts
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+fn event_json(node: NodeId, ev: &TraceEvent) -> Object {
+    Object::new()
+        .field("at_us", ev.at.0)
+        .field("node", node.0)
+        .field("incarnation", ev.incarnation)
+        .field("kind", ev.kind.label())
+        .field("trace", ev.trace.to_string())
+        .field("peer", ev.peer.map(|p| p.0))
+        .field("seq", ev.seq)
+        .field("name", ev.name.as_ref().map(|n| n.as_str()))
 }
 
-fn event_json(node: NodeId, ev: &TraceEvent) -> String {
-    format!(
-        "{{\"at_us\": {}, \"node\": {}, \"incarnation\": {}, \"kind\": \"{}\", \
-         \"trace\": \"{}\", \"peer\": {}, \"seq\": {}, \"name\": {}}}",
-        ev.at.0,
-        node.0,
-        ev.incarnation,
-        ev.kind.label(),
-        ev.trace,
-        ev.peer.map(|p| p.0.to_string()).unwrap_or_else(|| "null".into()),
-        ev.seq,
-        match &ev.name {
-            Some(n) => format!("\"{}\"", json_escape(n.as_str())),
-            None => "null".into(),
-        }
-    )
+fn events_json(events: &[(NodeId, TraceEvent)]) -> Vec<Object> {
+    events.iter().map(|(node, ev)| event_json(*node, ev)).collect()
 }
 
 /// Every recorded event across every ring, in the same deterministic
@@ -156,7 +143,7 @@ fn all_events(h: &SimHarness) -> Vec<(NodeId, TraceEvent)> {
     out
 }
 
-fn dump(h: &SimHarness, opts: &Opts) {
+fn dump(out: &mut impl Write, h: &SimHarness, opts: &Opts) -> io::Result<()> {
     let mut events = all_events(h);
     events.retain(|(node, ev)| {
         opts.node.is_none_or(|n| node.0 == n)
@@ -171,94 +158,73 @@ fn dump(h: &SimHarness, opts: &Opts) {
         events.drain(..skip);
     }
     if opts.json {
-        let body: Vec<String> =
-            events.iter().map(|(node, ev)| format!("    {}", event_json(*node, ev))).collect();
-        println!("{{\n  \"events\": [\n{}\n  ]\n}}", body.join(",\n"));
-    } else {
-        for (node, ev) in &events {
-            println!("{}", render_event(*node, ev));
+        return write!(out, "{}", Object::new().field("events", events_json(&events)).document());
+    }
+    for (node, ev) in &events {
+        writeln!(out, "{}", render_event(*node, ev))?;
+    }
+    writeln!(out, "-- {} events", events.len())?;
+    for (node, ring) in h.trace_rings() {
+        if ring.evicted() > 0 {
+            writeln!(out, "-- n{}: {} older events evicted from the ring", node.0, ring.evicted())?;
         }
-        println!("-- {} events", events.len());
-        for (node, ring) in h.trace_rings() {
-            if ring.evicted() > 0 {
-                println!("-- n{}: {} older events evicted from the ring", node.0, ring.evicted());
+    }
+    Ok(())
+}
+
+fn chain(out: &mut impl Write, h: &SimHarness, trace: TraceId, json: bool) -> io::Result<()> {
+    let links = h.trace_chain(trace);
+    if json {
+        let doc =
+            Object::new().field("trace", trace.to_string()).field("chain", events_json(&links));
+        return write!(out, "{}", doc.document());
+    }
+    if links.is_empty() {
+        return writeln!(out, "no recorded events carry trace {trace}");
+    }
+    writeln!(out, "causal chain of trace {trace}:")?;
+    for (node, ev) in &links {
+        writeln!(out, "{}", render_event(*node, ev))?;
+    }
+    Ok(())
+}
+
+fn violation_text(out: &mut impl Write, v: &Violation) -> io::Result<()> {
+    let node = v.node.map(|n| format!("n{}", n.0)).unwrap_or_else(|| "-".into());
+    let channel = v.channel.as_ref().map(|c| c.as_str()).unwrap_or("-");
+    writeln!(out, "VIOLATION {} at {}us node={} channel={}", v.invariant, v.at.0, node, channel)?;
+    writeln!(out, "  {}", v.detail)?;
+    for (title, lines) in [("flight recorder tail", &v.trace), ("causal chain", &v.chain)] {
+        if !lines.is_empty() {
+            writeln!(out, "  {title}:")?;
+            for line in lines {
+                writeln!(out, "  {line}")?;
             }
         }
     }
+    Ok(())
 }
 
-fn chain(h: &SimHarness, trace: TraceId, json: bool) {
-    let links = h.trace_chain(trace);
+fn violation_json(v: &Violation) -> Object {
+    Object::new()
+        .field("invariant", v.invariant.as_str())
+        .field("at_us", v.at.0)
+        .field("node", v.node.map(|n| n.0))
+        .field("channel", v.channel.as_ref().map(|c| c.as_str()))
+        .field("detail", v.detail.as_str())
+        .field("trace", v.trace.clone())
+        .field("chain", v.chain.clone())
+}
+
+fn violations(out: &mut impl Write, report: &ScenarioReport, json: bool) -> io::Result<()> {
     if json {
-        let body: Vec<String> =
-            links.iter().map(|(node, ev)| format!("    {}", event_json(*node, ev))).collect();
-        println!("{{\n  \"trace\": \"{trace}\",\n  \"chain\": [\n{}\n  ]\n}}", body.join(",\n"));
-    } else if links.is_empty() {
-        println!("no recorded events carry trace {trace}");
-    } else {
-        println!("causal chain of trace {trace}:");
-        for (node, ev) in &links {
-            println!("{}", render_event(*node, ev));
-        }
+        let rows: Vec<Object> = report.violations.iter().map(violation_json).collect();
+        return write!(out, "{}", Object::new().field("violations", rows).document());
     }
-}
-
-fn violation_text(v: &Violation) {
-    let node = v.node.map(|n| format!("n{}", n.0)).unwrap_or_else(|| "-".into());
-    let channel = v.channel.as_ref().map(|c| c.as_str()).unwrap_or("-");
-    println!("VIOLATION {} at {}us node={} channel={}", v.invariant, v.at.0, node, channel);
-    println!("  {}", v.detail);
-    if !v.trace.is_empty() {
-        println!("  flight recorder tail:");
-        for line in &v.trace {
-            println!("  {line}");
-        }
+    if report.violations.is_empty() {
+        return writeln!(out, "no violations: {} checks passed", report.checks_run);
     }
-    if !v.chain.is_empty() {
-        println!("  causal chain:");
-        for line in &v.chain {
-            println!("  {line}");
-        }
-    }
-}
-
-fn violations(report: &ScenarioReport, json: bool) -> i32 {
-    if json {
-        let body: Vec<String> = report
-            .violations
-            .iter()
-            .map(|v| {
-                let lines = |ls: &[String]| {
-                    ls.iter()
-                        .map(|l| format!("\"{}\"", json_escape(l)))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                };
-                format!(
-                    "    {{\"invariant\": \"{}\", \"at_us\": {}, \"node\": {}, \
-                     \"channel\": {}, \"detail\": \"{}\", \"trace\": [{}], \"chain\": [{}]}}",
-                    json_escape(&v.invariant),
-                    v.at.0,
-                    v.node.map(|n| n.0.to_string()).unwrap_or_else(|| "null".into()),
-                    v.channel
-                        .as_ref()
-                        .map(|c| format!("\"{}\"", json_escape(c.as_str())))
-                        .unwrap_or_else(|| "null".into()),
-                    json_escape(&v.detail),
-                    lines(&v.trace),
-                    lines(&v.chain),
-                )
-            })
-            .collect();
-        println!("{{\n  \"violations\": [\n{}\n  ]\n}}", body.join(",\n"));
-    } else if report.violations.is_empty() {
-        println!("no violations: {} checks passed", report.checks_run);
-    } else {
-        for v in &report.violations {
-            violation_text(v);
-        }
-    }
-    i32::from(!report.violations.is_empty())
+    report.violations.iter().try_for_each(|v| violation_text(out, v))
 }
 
 fn histo_row(label: &str, h: &LatencyHistogram) -> String {
@@ -275,55 +241,52 @@ fn histo_row(label: &str, h: &LatencyHistogram) -> String {
     )
 }
 
-fn histo_json(label: &str, h: &LatencyHistogram) -> String {
-    format!(
-        "\"{label}\": {{\"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}}}",
-        h.count(),
-        h.p50_us().map(|v| v.to_string()).unwrap_or_else(|| "null".into()),
-        h.p99_us().map(|v| v.to_string()).unwrap_or_else(|| "null".into()),
-        h.p999_us().map(|v| v.to_string()).unwrap_or_else(|| "null".into()),
-    )
+fn histo_json(h: &LatencyHistogram) -> Object {
+    Object::new()
+        .field("count", h.count())
+        .field("p50_us", h.p50_us())
+        .field("p99_us", h.p99_us())
+        .field("p999_us", h.p999_us())
 }
 
-fn histo(h: &SimHarness, json: bool) {
+fn histo(out: &mut impl Write, h: &SimHarness, json: bool) -> io::Result<()> {
     let mut nodes: Vec<NodeId> = h.trace_rings().iter().map(|(n, _)| *n).collect();
     nodes.sort();
+    let stats: Vec<(NodeId, ContainerStats)> =
+        nodes.into_iter().filter_map(|n| h.container(n).map(|c| (n, c.stats()))).collect();
+    let histograms = |s: &ContainerStats| {
+        [
+            ("publish_to_deliver", s.publish_to_deliver),
+            ("event_to_deliver", s.event_to_deliver),
+            ("call_rtt", s.call_rtt),
+            ("rto_recovery", s.rto_recovery),
+        ]
+    };
     if json {
-        let body: Vec<String> = nodes
-            .iter()
-            .filter_map(|n| h.container(*n).map(|c| (n, c.stats())))
-            .map(|(n, s)| {
-                format!(
-                    "    {{\"node\": {}, {}, {}, {}, {}}}",
-                    n.0,
-                    histo_json("publish_to_deliver", &s.publish_to_deliver),
-                    histo_json("event_to_deliver", &s.event_to_deliver),
-                    histo_json("call_rtt", &s.call_rtt),
-                    histo_json("rto_recovery", &s.rto_recovery),
-                )
+        let row = |(n, s): &(NodeId, ContainerStats)| {
+            histograms(s).iter().fold(Object::new().field("node", n.0), |row, (label, h)| {
+                row.field(*label, histo_json(h))
             })
-            .collect();
-        println!("{{\n  \"nodes\": [\n{}\n  ]\n}}", body.join(",\n"));
-    } else {
-        for n in nodes {
-            let Some(c) = h.container(n) else { continue };
-            let s = c.stats();
-            println!("n{}:", n.0);
-            println!("{}", histo_row("publish_to_deliver", &s.publish_to_deliver));
-            println!("{}", histo_row("event_to_deliver", &s.event_to_deliver));
-            println!("{}", histo_row("call_rtt", &s.call_rtt));
-            println!("{}", histo_row("rto_recovery", &s.rto_recovery));
+        };
+        let rows: Vec<Object> = stats.iter().map(row).collect();
+        return write!(out, "{}", Object::new().field("nodes", rows).document());
+    }
+    for (n, s) in &stats {
+        writeln!(out, "n{}:", n.0)?;
+        for (label, h) in histograms(s) {
+            writeln!(out, "{}", histo_row(label, &h))?;
         }
     }
+    Ok(())
 }
 
-fn main() {
-    let opts = parse_args();
+/// Runs the requested query, writing to `out`; returns the exit code.
+fn run(out: &mut impl Write, opts: &Opts) -> io::Result<i32> {
     if opts.scenario == "list" {
         for name in corpus::NAMES {
-            println!("{name}");
+            writeln!(out, "{name}")?;
         }
-        return;
+        return Ok(0);
     }
     let cfg = ScenarioConfig::quick(opts.seed);
     let Some(mut chaos) = corpus::build(&opts.scenario, &cfg) else {
@@ -332,23 +295,30 @@ fn main() {
             opts.scenario,
             corpus::NAMES.join(", ")
         );
-        std::process::exit(2);
+        return Ok(2);
     };
     let report = chaos.run();
     let h = chaos.runner.harness();
-    let code = match &opts.mode {
-        Mode::Dump => {
-            dump(h, &opts);
-            0
-        }
-        Mode::Chain(id) => {
-            chain(h, *id, opts.json);
-            0
-        }
-        Mode::Violations => violations(&report, opts.json),
-        Mode::Histo => {
-            histo(h, opts.json);
-            0
+    match &opts.mode {
+        Mode::Dump => dump(out, h, opts)?,
+        Mode::Chain(id) => chain(out, h, *id, opts.json)?,
+        Mode::Violations => violations(out, &report, opts.json)?,
+        Mode::Histo => histo(out, h, opts.json)?,
+    }
+    Ok(i32::from(matches!(opts.mode, Mode::Violations) && !report.violations.is_empty()))
+}
+
+fn main() {
+    let opts = parse_args();
+    let mut out = io::stdout().lock();
+    // A reader that stops early (`| head`) closes the pipe: that ends
+    // the output, it is not an error.
+    let code = match run(&mut out, &opts).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("error: writing output: {e}");
+            1
         }
     };
     std::process::exit(code);

@@ -15,11 +15,11 @@
 //! [`MetricsSampler`]: marea_core::metrics::MetricsSampler
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
+use marea_core::json::Object;
 use marea_core::metrics::{LatencySummary, MetricsConfig};
 use marea_core::trace::LatencyHistogram;
 use marea_core::{
@@ -659,74 +659,46 @@ pub fn run_loadtest(cfg: &LoadtestConfig) -> LoadtestReport {
 // Reporting and the regression gate
 // ---------------------------------------------------------------------------
 
-fn opt_json(out: &mut String, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            let _ = write!(out, "{x}");
-        }
-        None => out.push_str("null"),
-    }
-}
-
-fn window_json(out: &mut String, w: &WindowReport) {
-    let _ = write!(
-        out,
-        "{{\"index\": {}, \"start_us\": {}, \"end_us\": {}, \"offered\": {}, \"delivered\": {}, \
-         \"achieved_hz\": {}, \"goodput_bps\": {}, \"count\": {}, \"p50_us\": ",
-        w.index,
-        w.start_us,
-        w.end_us,
-        w.offered,
-        w.delivered,
-        w.achieved_hz,
-        w.goodput_bps,
-        w.latency.count,
-    );
-    opt_json(out, w.latency.p50_us);
-    out.push_str(", \"p99_us\": ");
-    opt_json(out, w.latency.p99_us);
-    out.push_str(", \"p999_us\": ");
-    opt_json(out, w.latency.p999_us);
-    out.push('}');
+fn window(w: &WindowReport) -> Object {
+    Object::new()
+        .field("index", w.index)
+        .field("start_us", w.start_us)
+        .field("end_us", w.end_us)
+        .field("offered", w.offered)
+        .field("delivered", w.delivered)
+        .field("achieved_hz", w.achieved_hz)
+        .field("goodput_bps", w.goodput_bps)
+        .field("count", w.latency.count)
+        .field("p50_us", w.latency.p50_us)
+        .field("p99_us", w.latency.p99_us)
+        .field("p999_us", w.latency.p999_us)
 }
 
 /// Renders the report as the byte-deterministic JSON document checked
 /// in as `BENCH_loadtest_<workload>.json`.
 pub fn report_json(r: &LoadtestReport) -> String {
     let c = &r.config;
-    let mut out = String::with_capacity(2048);
-    let _ = write!(
-        out,
-        "{{\n  \"workload\": \"{}\",\n  \"config\": {{\"pairs\": {}, \"rate_hz\": {}, \
-         \"payload_bytes\": {}, \"warmup_ms\": {}, \"window_ms\": {}, \"windows\": {}, \
-         \"sample_period_ms\": {}, \"seed\": {}, \"tick_us\": {}}},\n  \"windows\": [\n",
-        c.workload.name(),
-        c.pairs,
-        c.rate_hz,
-        c.payload_bytes,
-        c.warmup_ms,
-        c.window_ms,
-        c.windows,
-        c.sample_period_ms,
-        c.seed,
-        TICK_US,
-    );
-    for (i, w) in r.windows.iter().enumerate() {
-        out.push_str("    ");
-        window_json(&mut out, w);
-        if i + 1 < r.windows.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ],\n  \"overall\": ");
-    window_json(&mut out, &r.overall);
-    let _ = write!(
-        out,
-        ",\n  \"metrics\": {{\"samples\": {}, \"frames\": {}, \"links\": {}}}\n}}\n",
-        r.metrics_samples, r.metrics_frames, r.metrics_links,
-    );
-    out
+    let config = Object::new()
+        .field("pairs", c.pairs)
+        .field("rate_hz", c.rate_hz)
+        .field("payload_bytes", c.payload_bytes)
+        .field("warmup_ms", c.warmup_ms)
+        .field("window_ms", c.window_ms)
+        .field("windows", c.windows)
+        .field("sample_period_ms", c.sample_period_ms)
+        .field("seed", c.seed)
+        .field("tick_us", TICK_US);
+    let metrics = Object::new()
+        .field("samples", r.metrics_samples)
+        .field("frames", r.metrics_frames)
+        .field("links", r.metrics_links);
+    Object::new()
+        .field("workload", c.workload.name())
+        .field("config", config)
+        .field("windows", r.windows.iter().map(window).collect::<Vec<_>>())
+        .field("overall", window(&r.overall))
+        .field("metrics", metrics)
+        .document()
 }
 
 /// Extracts the overall section's value of `key` from a report document

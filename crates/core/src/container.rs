@@ -73,6 +73,26 @@ pub(crate) const MAX_ARG_BYTES: usize = 4 * 1024 * 1024;
 /// Age at which an incomplete fragment set is evicted.
 const REASSEMBLY_TIMEOUT: ProtoDuration = ProtoDuration(5_000_000);
 
+/// Reply deadline of one remote-invocation attempt, unless the call's
+/// [`CallOptions`] set one.
+const CALL_TIMEOUT: ProtoDuration = ProtoDuration(800_000);
+
+/// Providers tried before a call fails, unless the call's
+/// [`CallOptions`] set a retry budget.
+const MAX_CALL_ATTEMPTS: u32 = 3;
+
+/// File transfer chunk size in bytes.
+const CHUNK_SIZE: u32 = 1024;
+
+/// File chunks pumped per tick per transfer.
+const FILE_BURST: usize = 32;
+
+/// Gap between completion queries of an idle transfer.
+const FILE_QUERY_INTERVAL: ProtoDuration = ProtoDuration(100_000);
+
+/// Container log ring capacity.
+const LOG_CAPACITY: usize = 1024;
+
 /// How variable samples reach remote subscribers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VarDistribution {
@@ -103,28 +123,14 @@ pub struct ContainerConfig {
     pub scheduler: SchedulerKind,
     /// Maximum handler invocations per tick (soft real-time budget).
     pub tick_budget: usize,
-    /// Reliable-channel tuning.
-    pub arq: ArqConfig,
     /// Forward-error-correction layer below the reliable channel
     /// (enabled by default; each link runs the weaker of the two ends'
     /// advertised capabilities).
     pub fec: FecConfig,
-    /// Remote invocation reply deadline per attempt.
-    pub call_timeout: ProtoDuration,
-    /// Providers tried before a call fails.
-    pub max_call_attempts: u32,
-    /// File transfer chunk size in bytes.
-    pub chunk_size: u32,
-    /// File chunks pumped per tick per transfer.
-    pub file_burst: usize,
-    /// Gap between completion queries of an idle transfer.
-    pub file_query_interval: ProtoDuration,
     /// Variable sample distribution mode.
     pub var_distribution: VarDistribution,
     /// Payload codec for application data.
     pub codec: CodecId,
-    /// Container log ring capacity.
-    pub log_capacity: usize,
     /// Flight-recorder switch and ring sizing (DESIGN.md §8).
     pub trace: TraceConfig,
 }
@@ -145,16 +151,9 @@ impl ContainerConfig {
             node_timeout: ProtoDuration::from_secs(2),
             scheduler: SchedulerKind::Priority,
             tick_budget: 256,
-            arq: ArqConfig::default(),
             fec: FecConfig::default(),
-            call_timeout: ProtoDuration::from_millis(800),
-            max_call_attempts: 3,
-            chunk_size: 1024,
-            file_burst: 32,
-            file_query_interval: ProtoDuration::from_millis(100),
             var_distribution: VarDistribution::Multicast,
             codec: CodecId::COMPACT,
-            log_capacity: 1024,
             trace: TraceConfig::default(),
         }
     }
@@ -601,7 +600,7 @@ impl ServiceContainer {
         // re-trying their seen announces.
         let retry = self.agenda.drain_due(Kind::InterestRetry, now);
         if retry {
-            let next = now + self.config.file_query_interval;
+            let next = now + FILE_QUERY_INTERVAL;
             self.agenda.set(Kind::InterestRetry, next, Key::Id(0));
         }
         if self.agenda.drain_due(Kind::Resolve, now) | retry {
@@ -1130,8 +1129,8 @@ impl ServiceContainer {
         // Resolve the caller's contract against the container defaults:
         // the per-attempt deadline and the retry budget travel with the
         // pending call from here on.
-        let attempt_timeout = options.deadline.unwrap_or(self.config.call_timeout);
-        let max_attempts = options.retry_budget.unwrap_or(self.config.max_call_attempts).max(1);
+        let attempt_timeout = options.deadline.unwrap_or(CALL_TIMEOUT);
+        let max_attempts = options.retry_budget.unwrap_or(MAX_CALL_ATTEMPTS).max(1);
         let policy = options.policy;
         let resolution = self
             .directory
@@ -1226,7 +1225,7 @@ impl ServiceContainer {
                         resource.clone(),
                         1,
                         data.clone(),
-                        self.config.chunk_size,
+                        CHUNK_SIZE,
                         file_group(&resource),
                     ) else {
                         return;
@@ -1290,9 +1289,9 @@ impl ServiceContainer {
             self.tracer.record(now, TraceKind::LinkUp, TraceId::NONE, Some(peer), 0, None);
         }
         self.wake_link(peer);
-        let (arq, fec) = (self.config.arq, self.fec_cap_for(peer));
+        let fec = self.fec_cap_for(peer);
         self.links.entry(peer).or_insert_with(|| {
-            let mut link = ReliableLink::new(peer, arq);
+            let mut link = ReliableLink::new(peer, ArqConfig::default());
             link.negotiate_fec(fec);
             link
         })
@@ -1354,7 +1353,7 @@ impl ServiceContainer {
     }
 
     fn log_line(&mut self, now: Micros, line: String) {
-        if self.log.len() >= self.config.log_capacity {
+        if self.log.len() >= LOG_CAPACITY {
             self.log.pop_front();
         }
         self.log.push_back((now, line));

@@ -794,7 +794,7 @@ impl ServiceContainer {
 
     /// Pumps the outgoing files that are due: chunk bursts while chunks
     /// are queued, and a completion query (with a re-announce) once the
-    /// queue is empty and no query went out for `file_query_interval`.
+    /// queue is empty and no query went out for `FILE_QUERY_INTERVAL`.
     /// An armed [`Kind::FileQuery`] entry is the time of the next query;
     /// a disarmed one means a query is due as soon as the chunks allow.
     pub(super) fn pump_files(&mut self, now: Micros) {
@@ -822,14 +822,14 @@ impl ServiceContainer {
                 }
                 let key = Key::Name(resource.clone());
                 if out.sender.has_pending_chunks() {
-                    to_group = out.sender.next_chunks(self.config.file_burst);
+                    to_group = out.sender.next_chunks(FILE_BURST);
                     self.agenda.arm(Kind::FilePump, now, key);
                 } else if self.agenda.due_of(Kind::FileQuery, &key).is_none() {
                     // Re-announce with each query round so late joiners
                     // can subscribe mid-transfer (§4.4 phase overlap).
                     to_control.push(out.sender.announce());
                     to_group.push(out.sender.query());
-                    let next = now + self.config.file_query_interval;
+                    let next = now + FILE_QUERY_INTERVAL;
                     self.agenda.set(Kind::FileQuery, next, key);
                 }
             }

@@ -89,6 +89,7 @@ mod directory;
 mod engines;
 mod error;
 mod harness;
+pub mod json;
 mod link;
 pub mod metrics;
 mod ports;

@@ -21,8 +21,9 @@
 //! * nodes are visited in sorted `NodeId` order and links in sorted
 //!   `(src, dst)` order, so the same seed reproduces the same timeline
 //!   byte for byte;
-//! * rendering ([`MetricsSampler::to_jsonl`] / [`to_json`]) happens at
-//!   dump time, never at sample time, and formats integers only.
+//! * rendering ([`MetricsSampler::to_jsonl`], through the shared
+//!   [`crate::json`] writer) happens at dump time, never at sample time,
+//!   and formats integers only.
 //!
 //! Each frame carries **deltas** since the previous sample of the same
 //! node (counters restart from zero after a node restart: deltas
@@ -30,8 +31,6 @@
 //! of the latency observed **within the sample window** (bucket-wise
 //! histogram difference). The timeline is bounded: once `capacity`
 //! frames are held, the oldest are evicted and counted.
-//!
-//! [`to_json`]: MetricsSampler::to_json
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -40,6 +39,7 @@ use marea_netsim::SimNet;
 use marea_protocol::{Micros, NodeId, ProtoDuration};
 
 use crate::container::ServiceContainer;
+use crate::json::Object;
 use crate::stats::ContainerStats;
 use crate::trace::LatencyHistogram;
 
@@ -344,130 +344,74 @@ impl MetricsSampler {
         self.evicted_links
     }
 
-    /// Renders the timeline as JSONL: one `kind:"node"` object per node
-    /// frame, one `kind:"link"` object per link frame, and a trailing
-    /// `kind:"summary"` line. Byte-deterministic for a given timeline.
+    /// Renders the timeline as JSONL: one `"kind": "node"` object per
+    /// node frame, one `"kind": "link"` object per link frame, and a
+    /// trailing `"kind": "summary"` line. Byte-deterministic for a given
+    /// timeline.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.frames.len() * 256 + self.links.len() * 96 + 128);
-        for f in &self.frames {
-            frame_json(&mut out, f);
-            out.push('\n');
+        let summary = Object::new()
+            .field("kind", "summary")
+            .field("samples", self.sample)
+            .field("frames", self.frames.len())
+            .field("links", self.links.len())
+            .field("evicted_frames", self.evicted_frames)
+            .field("evicted_links", self.evicted_links);
+        let rows = self.frames.iter().map(node_row).chain(self.links.iter().map(link_row));
+        let mut out = String::with_capacity(self.frames.len() * 512 + self.links.len() * 96 + 128);
+        for row in rows.chain([summary]) {
+            let _ = writeln!(out, "{row}");
         }
-        for l in &self.links {
-            link_json(&mut out, l);
-            out.push('\n');
-        }
-        let _ = write!(
-            out,
-            "{{\"kind\":\"summary\",\"samples\":{},\"frames\":{},\"links\":{},\"evicted_frames\":{},\"evicted_links\":{}}}",
-            self.sample,
-            self.frames.len(),
-            self.links.len(),
-            self.evicted_frames,
-            self.evicted_links,
-        );
-        out.push('\n');
-        out
-    }
-
-    /// Renders the timeline as one JSON document with `frames`,
-    /// `links` and eviction counters. Byte-deterministic.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(self.frames.len() * 256 + self.links.len() * 96 + 128);
-        out.push_str("{\n  \"frames\": [\n");
-        for (i, f) in self.frames.iter().enumerate() {
-            out.push_str("    ");
-            frame_json(&mut out, f);
-            if i + 1 < self.frames.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n  \"links\": [\n");
-        for (i, l) in self.links.iter().enumerate() {
-            out.push_str("    ");
-            link_json(&mut out, l);
-            if i + 1 < self.links.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        let _ = write!(
-            out,
-            "  ],\n  \"samples\": {},\n  \"evicted_frames\": {},\n  \"evicted_links\": {}\n}}\n",
-            self.sample, self.evicted_frames, self.evicted_links,
-        );
         out
     }
 }
 
-fn opt_json(out: &mut String, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            let _ = write!(out, "{x}");
-        }
-        None => out.push_str("null"),
-    }
+fn latency_fields(row: Object, key: &str, s: &LatencySummary) -> Object {
+    row.field(format!("{key}_count"), s.count)
+        .field(format!("{key}_p50_us"), s.p50_us)
+        .field(format!("{key}_p99_us"), s.p99_us)
+        .field(format!("{key}_p999_us"), s.p999_us)
 }
 
-fn summary_json(out: &mut String, key: &str, s: &LatencySummary) {
-    let _ = write!(out, "\"{key}_count\":{},\"{key}_p50_us\":", s.count);
-    opt_json(out, s.p50_us);
-    let _ = write!(out, ",\"{key}_p99_us\":");
-    opt_json(out, s.p99_us);
-    let _ = write!(out, ",\"{key}_p999_us\":");
-    opt_json(out, s.p999_us);
+fn node_row(f: &MetricsFrame) -> Object {
+    let row = Object::new()
+        .field("kind", "node")
+        .field("at_us", f.at.0)
+        .field("sample", f.sample)
+        .field("node", f.node.0)
+        .field("frames_in", f.frames_in)
+        .field("frames_out", f.frames_out)
+        .field("bytes_out", f.bytes_out)
+        .field("tasks_executed", f.tasks_executed)
+        .field("vars_published", f.vars_published)
+        .field("var_samples_delivered", f.var_samples_delivered)
+        .field("events_published", f.events_published)
+        .field("events_delivered", f.events_delivered)
+        .field("calls_made", f.calls_made)
+        .field("calls_served", f.calls_served)
+        .field("files_published", f.files_published)
+        .field("files_received", f.files_received)
+        .field("deadline_misses", f.deadline_misses)
+        .field("stale_drops", f.stale_drops)
+        .field("queue_drops", f.queue_drops)
+        .field("retries", f.retries)
+        .field("fec_data_shards_out", f.fec_data_shards_out)
+        .field("fec_parity_shards_out", f.fec_parity_shards_out)
+        .field("fec_shards_in", f.fec_shards_in)
+        .field("fec_recovered", f.fec_recovered);
+    let row = latency_fields(row, "var", &f.var_latency);
+    let row = latency_fields(row, "event", &f.event_latency);
+    latency_fields(row, "call", &f.call_rtt)
 }
 
-fn frame_json(out: &mut String, f: &MetricsFrame) {
-    let _ = write!(
-        out,
-        "{{\"kind\":\"node\",\"at_us\":{},\"sample\":{},\"node\":{},\
-         \"frames_in\":{},\"frames_out\":{},\"bytes_out\":{},\"tasks_executed\":{},\
-         \"vars_published\":{},\"var_samples_delivered\":{},\
-         \"events_published\":{},\"events_delivered\":{},\
-         \"calls_made\":{},\"calls_served\":{},\
-         \"files_published\":{},\"files_received\":{},\
-         \"deadline_misses\":{},\"stale_drops\":{},\"queue_drops\":{},\"retries\":{},\
-         \"fec_data_shards_out\":{},\"fec_parity_shards_out\":{},\"fec_shards_in\":{},\"fec_recovered\":{},",
-        f.at.0,
-        f.sample,
-        f.node.0,
-        f.frames_in,
-        f.frames_out,
-        f.bytes_out,
-        f.tasks_executed,
-        f.vars_published,
-        f.var_samples_delivered,
-        f.events_published,
-        f.events_delivered,
-        f.calls_made,
-        f.calls_served,
-        f.files_published,
-        f.files_received,
-        f.deadline_misses,
-        f.stale_drops,
-        f.queue_drops,
-        f.retries,
-        f.fec_data_shards_out,
-        f.fec_parity_shards_out,
-        f.fec_shards_in,
-        f.fec_recovered,
-    );
-    summary_json(out, "var", &f.var_latency);
-    out.push(',');
-    summary_json(out, "event", &f.event_latency);
-    out.push(',');
-    summary_json(out, "call", &f.call_rtt);
-    out.push('}');
-}
-
-fn link_json(out: &mut String, l: &LinkFrame) {
-    let _ = write!(
-        out,
-        "{{\"kind\":\"link\",\"at_us\":{},\"sample\":{},\"src\":{},\"dst\":{},\"attempts\":{},\"lost\":{}}}",
-        l.at.0, l.sample, l.src, l.dst, l.attempts, l.lost,
-    );
+fn link_row(l: &LinkFrame) -> Object {
+    Object::new()
+        .field("kind", "link")
+        .field("at_us", l.at.0)
+        .field("sample", l.sample)
+        .field("src", l.src)
+        .field("dst", l.dst)
+        .field("attempts", l.attempts)
+        .field("lost", l.lost)
 }
 
 #[cfg(test)]
@@ -566,11 +510,8 @@ mod tests {
         let a = s.to_jsonl();
         let b = s.to_jsonl();
         assert_eq!(a, b);
-        assert!(a.contains("\"var_p999_us\":null"));
-        assert!(a.contains("\"kind\":\"link\""));
-        assert!(a.ends_with("\"evicted_links\":0}\n"));
-        let doc = s.to_json();
-        assert!(doc.contains("\"frames\": ["));
-        assert!(doc.contains("\"samples\": 1"));
+        assert!(a.contains("\"var_p999_us\": null"));
+        assert!(a.contains("\"kind\": \"link\""));
+        assert!(a.ends_with("\"evicted_links\": 0}\n"));
     }
 }

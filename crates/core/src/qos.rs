@@ -281,9 +281,9 @@ impl EventQos {
 /// The caller-visible invocation contract (paper §4.3): per-attempt reply
 /// deadline, how many providers to try, and how the provider is chosen.
 ///
-/// `None` fields fall back to the container-wide defaults
-/// ([`ContainerConfig::call_timeout`] / [`max_call_attempts`]), so
-/// `CallOptions::default()` reproduces the pre-profile behaviour exactly.
+/// `None` fields fall back to the container-wide defaults (an 800 ms
+/// deadline, three providers), so `CallOptions::default()` reproduces
+/// the pre-profile behaviour exactly.
 ///
 /// ```
 /// use marea_core::{CallOptions, NodeId, ProtoDuration};
@@ -294,9 +294,6 @@ impl EventQos {
 ///     .pinned(NodeId(3));
 /// opts.validate().unwrap();
 /// ```
-///
-/// [`ContainerConfig::call_timeout`]: crate::ContainerConfig::call_timeout
-/// [`max_call_attempts`]: crate::ContainerConfig::max_call_attempts
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CallOptions {
     /// Reply deadline per attempt; a missed deadline triggers failover to
