@@ -35,7 +35,7 @@ use marea_presentation::{Name, Value};
 use marea_protocol::arq::ArqConfig;
 use marea_protocol::fec::{FecConfig, FecRate, PARITY_INDEX_BIT};
 use marea_protocol::fragment::{fragment_payload, Reassembler};
-use marea_protocol::messages::{AnnounceEntry, CallStatus, Provision, ServiceState};
+use marea_protocol::messages::{AnnounceEntry, CallStatus, Encoded, Provision, ServiceState};
 use marea_protocol::mftp::{AnnounceOutcome, FileReceiver, FileSender, RevisionPolicy};
 use marea_protocol::{
     Frame, GroupId, Message, Micros, NodeId, ProtoDuration, RequestId, ServiceId, TransferId,
@@ -1328,25 +1328,25 @@ impl ServiceContainer {
         }
     }
 
+    /// Encodes `msg` once, straight into its frame; a message too large
+    /// for one frame is fragmented from that same encoding.
     fn send_message(&mut self, dest: TransportDestination, msg: &Message) {
-        let payload = msg.encode_payload();
         let mtu = self.transport.mtu();
-        if payload.len() + marea_protocol::FRAME_HEADER_LEN <= mtu {
-            return self.send_frame(dest, Frame::new(self.config.node, msg.kind(), payload));
-        }
-        // Fragment the tagged encoding.
+        let tagged = match msg.encode_for_mtu(self.config.node, mtu) {
+            Encoded::Frame(wire) => return self.send_frame(dest, wire),
+            Encoded::Oversized(tagged) => tagged,
+        };
         self.next_msg_id += 1;
         let budget = mtu.saturating_sub(96).max(128);
-        let Ok(frags) = fragment_payload(self.next_msg_id, &msg.encode_tagged(), budget) else {
+        let Ok(frags) = fragment_payload(self.next_msg_id, &tagged, budget) else {
             return;
         };
         for frag in frags {
-            self.send_frame(dest, Frame::new(self.config.node, frag.kind(), frag.encode_payload()));
+            self.send_frame(dest, frag.encode_frame(self.config.node));
         }
     }
 
-    fn send_frame(&mut self, dest: TransportDestination, frame: Frame) {
-        let wire = frame.encode();
+    fn send_frame(&mut self, dest: TransportDestination, wire: Bytes) {
         self.stats.frames_out += 1;
         self.stats.bytes_out += wire.len() as u64;
         let _ = self.transport.send(dest, wire);

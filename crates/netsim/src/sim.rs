@@ -1,7 +1,7 @@
 //! The discrete-event network core.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -88,14 +88,30 @@ impl Ord for InFlight {
     }
 }
 
-/// Node ids in ascending order: the sanctioned deterministic walk for
-/// broadcast/multicast replication (lint rule D1 bans raw hash-map
-/// iteration on send paths; `fn sorted_*` bodies are the one place the
-/// raw walk may live).
-fn sorted_node_ids(nodes: &HashMap<u32, NodeState>) -> Vec<u32> {
-    let mut ids: Vec<u32> = nodes.keys().copied().collect();
-    ids.sort_unstable();
-    ids
+/// Replaces `out` with the receivers of a datagram from `src` to `dest`,
+/// in ascending id order: replica order decides how the RNG stream maps
+/// onto datagrams. `nodes` is ordered by id, so the walk is the order.
+fn sorted_targets(
+    nodes: &BTreeMap<u32, NodeState>,
+    src: u32,
+    dest: Destination,
+    out: &mut Vec<u32>,
+) {
+    out.clear();
+    match dest {
+        Destination::Unicast(dst) => {
+            if nodes.contains_key(&dst) {
+                out.push(dst);
+            }
+        }
+        Destination::Multicast(group) => out.extend(
+            nodes
+                .iter()
+                .filter(|(id, st)| **id != src && st.groups.contains(&group))
+                .map(|(id, _)| *id),
+        ),
+        Destination::Broadcast => out.extend(nodes.keys().filter(|id| **id != src)),
+    }
 }
 
 #[derive(Debug)]
@@ -105,7 +121,9 @@ struct SimNetInner {
     default_link: LinkConfig,
     links: HashMap<(u32, u32), LinkConfig>,
     partitions: HashSet<(u32, u32)>,
-    nodes: HashMap<u32, NodeState>,
+    nodes: BTreeMap<u32, NodeState>,
+    /// Fan-out targets of the send in progress, reused across sends.
+    targets: Vec<u32>,
     inflight: BinaryHeap<Reverse<InFlight>>,
     next_seq: u64,
     stats: NetStats,
@@ -166,34 +184,15 @@ impl SimNetInner {
         node_stats.sent += 1;
         node_stats.sent_bytes += payload.len() as u64;
 
-        let targets: Vec<u32> = match dest {
-            Destination::Unicast(dst) => {
-                if self.nodes.contains_key(&dst) {
-                    vec![dst]
-                } else {
-                    Vec::new()
-                }
-            }
-            Destination::Multicast(group) => sorted_node_ids(&self.nodes)
-                .into_iter()
-                .filter(|id| {
-                    *id != src && self.nodes.get(id).is_some_and(|st| st.groups.contains(&group))
-                })
-                .collect(),
-            Destination::Broadcast => {
-                sorted_node_ids(&self.nodes).into_iter().filter(|id| *id != src).collect()
-            }
-        };
+        let mut targets = std::mem::take(&mut self.targets);
+        sorted_targets(&self.nodes, src, dest, &mut targets);
         if targets.is_empty() {
             self.stats.no_receiver += 1;
-            return Ok(());
         }
-        // `targets` is already sorted: replica order decides how the RNG
-        // stream maps onto datagrams (determinism regardless of hash
-        // order).
-        for dst in targets {
+        for &dst in &targets {
             self.enqueue_replica(src, dst, &payload, depart_at);
         }
+        self.targets = targets;
         Ok(())
     }
 
@@ -241,7 +240,8 @@ impl SimNet {
                 default_link: config.default_link,
                 links: HashMap::new(),
                 partitions: HashSet::new(),
-                nodes: HashMap::new(),
+                nodes: BTreeMap::new(),
+                targets: Vec::new(),
                 inflight: BinaryHeap::new(),
                 next_seq: 0,
                 stats: NetStats::default(),

@@ -1,25 +1,44 @@
-//! CRC-32 (IEEE 802.3 polynomial), table-driven.
+//! CRC-32 (IEEE 802.3 polynomial), sliced by 8.
 //!
 //! Implemented locally rather than pulled from a crate: the frame integrity
 //! check is a core protocol element and must stay byte-identical across
-//! every MAREA port.
+//! every MAREA port. Slicing-by-8 folds eight input bytes per step through
+//! eight 256-entry tables (8 KiB, built at compile time) and finishes the
+//! tail byte by byte; the values are those of the one-table byte-wise
+//! algorithm.
 
-/// Lazily-built 256-entry lookup table for the reflected IEEE polynomial
-/// 0xEDB88320.
-fn table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *entry = c;
+/// The reflected IEEE polynomial.
+const POLY: u32 = 0xEDB8_8320;
+
+/// `TABLES[0]` is the classic byte-wise table; `TABLES[k][b]` is the CRC
+/// state after byte `b` followed by `k` zero bytes, so that eight lookups
+/// advance the state over eight bytes at once.
+static TABLES: [[u32; 256]; 8] = tables();
+
+const fn tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        t
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
 /// Computes the CRC-32 (IEEE) of `data`.
@@ -36,11 +55,33 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Streaming update: feed successive slices with the running state.
 /// Initialize with `0xFFFF_FFFF` and finalize by xoring `0xFFFF_FFFF`.
-pub(crate) fn crc32_update(state: u32, data: &[u8]) -> u32 {
-    let t = table();
+///
+/// # Examples
+///
+/// ```
+/// use marea_protocol::{crc32, crc32_update};
+///
+/// let state = crc32_update(0xFFFF_FFFF, b"12345");
+/// assert_eq!(crc32_update(state, b"6789") ^ 0xFFFF_FFFF, crc32(b"123456789"));
+/// ```
+pub fn crc32_update(state: u32, data: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut c = state;
-    for &b in data {
-        c = t[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c
 }

@@ -6,11 +6,13 @@
 //! reordered or duplicated from multicast retransmission), so the
 //! [`Reassembler`] keys buffers by `(source node, message id)` and evicts
 //! incomplete sets after a timeout — best-effort traffic must never pin
-//! memory on a low-resource node.
+//! memory on a low-resource node. It stores only the parts that arrived
+//! and caps the sets pending across all sources: the count and the source
+//! id come from unauthenticated headers, so neither may size a buffer.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::error::ProtocolError;
 use crate::ids::NodeId;
@@ -23,7 +25,12 @@ pub const MAX_FRAGMENTS: u32 = 64 * 1024;
 /// Upper bound on concurrently reassembling messages per source.
 const MAX_PENDING_PER_SOURCE: usize = 64;
 
+/// Upper bound on concurrently reassembling messages across all sources:
+/// a frame's source id is whatever its header claims.
+const MAX_PENDING_SETS: usize = 1024;
+
 /// Splits `payload` into fragment messages of at most `max_chunk` bytes.
+/// Each chunk is a slice of `payload`, not a copy.
 ///
 /// Returns a single-element vector when the payload already fits — callers
 /// can treat the fragmentation path uniformly.
@@ -34,7 +41,7 @@ const MAX_PENDING_PER_SOURCE: usize = 64;
 /// would need more than [`MAX_FRAGMENTS`] pieces.
 pub fn fragment_payload(
     msg_id: u64,
-    payload: &[u8],
+    payload: &Bytes,
     max_chunk: usize,
 ) -> Result<Vec<Message>, ProtocolError> {
     if max_chunk == 0 {
@@ -44,25 +51,25 @@ pub fn fragment_payload(
     if count > MAX_FRAGMENTS as usize {
         return Err(ProtocolError::BadFragment("payload needs too many fragments"));
     }
-    let mut out = Vec::with_capacity(count);
-    for (index, chunk) in payload.chunks(max_chunk).enumerate() {
-        out.push(Message::Fragment {
-            msg_id,
-            index: index as u32,
-            count: count as u32,
-            payload: Bytes::copy_from_slice(chunk),
-        });
-    }
-    if payload.is_empty() {
-        out.push(Message::Fragment { msg_id, index: 0, count: 1, payload: Bytes::new() });
-    }
-    Ok(out)
+    Ok((0..count)
+        .map(|index| {
+            let start = index * max_chunk;
+            Message::Fragment {
+                msg_id,
+                index: index as u32,
+                count: count as u32,
+                payload: payload.slice(start..(start + max_chunk).min(payload.len())),
+            }
+        })
+        .collect())
 }
 
 #[derive(Debug)]
 struct Pending {
-    parts: Vec<Option<Bytes>>,
-    received: u32,
+    count: u32,
+    /// The parts that arrived, by index: memory follows the bytes
+    /// received, not the declared count.
+    parts: BTreeMap<u32, Bytes>,
     first_seen: Micros,
 }
 
@@ -92,8 +99,8 @@ impl Reassembler {
     /// # Errors
     ///
     /// [`ProtocolError::BadFragment`] on inconsistent metadata (index out of
-    /// range, count mismatch, zero count, over-limit counts or per-source
-    /// buffer exhaustion).
+    /// range, count mismatch, zero count, over-limit counts) or when a new
+    /// set would exceed the per-source or the overall pending limit.
     pub fn offer(
         &mut self,
         src: NodeId,
@@ -118,6 +125,9 @@ impl Reassembler {
         }
         let key = (src, msg_id);
         if !self.pending.contains_key(&key) {
+            if self.pending.len() >= MAX_PENDING_SETS {
+                return Err(ProtocolError::BadFragment("too many pending messages"));
+            }
             // marea-lint: allow(D1): cardinality count; iteration order cannot affect the result
             let per_source = self.pending.keys().filter(|(s, _)| *s == src).count();
             if per_source >= MAX_PENDING_PER_SOURCE {
@@ -125,31 +135,27 @@ impl Reassembler {
             }
         }
         let entry = self.pending.entry(key).or_insert_with(|| Pending {
-            parts: vec![None; count as usize],
-            received: 0,
+            count,
+            parts: BTreeMap::new(),
             first_seen: now,
         });
-        if entry.parts.len() != count as usize {
+        if entry.count != count {
             // A mismatched count means the stream is corrupt; drop the set.
             self.pending.remove(&key);
             return Err(ProtocolError::BadFragment("fragment count changed mid-stream"));
         }
-        let slot = &mut entry.parts[index as usize];
-        if slot.is_none() {
-            *slot = Some(payload);
-            entry.received += 1;
+        entry.parts.entry(index).or_insert(payload);
+        if entry.parts.len() < count as usize {
+            return Ok(None);
         }
-        if entry.received == count {
-            let Some(entry) = self.pending.remove(&key) else { return Ok(None) };
-            let mut full = BytesMut::new();
-            // `received == count` means every slot is filled; `flatten`
-            // states that without a panic path.
-            for part in entry.parts.into_iter().flatten() {
-                full.extend_from_slice(&part);
-            }
-            return Ok(Some(full.freeze()));
+        let Some(entry) = self.pending.remove(&key) else { return Ok(None) };
+        // Every index in 0..count is present, so the map walks them in
+        // order; one buffer sized to the total takes them all.
+        let mut full = Vec::with_capacity(entry.parts.values().map(Bytes::len).sum());
+        for part in entry.parts.values() {
+            full.extend_from_slice(part);
         }
-        Ok(None)
+        Ok(Some(Bytes::from(full)))
     }
 
     /// Drops incomplete sets older than the timeout; returns how many were
@@ -180,7 +186,7 @@ mod tests {
     #[test]
     fn fragments_cover_payload_exactly() {
         let payload: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
-        let frags = fragment_payload(1, &payload, 1024).unwrap();
+        let frags = fragment_payload(1, &Bytes::from(payload.clone()), 1024).unwrap();
         assert_eq!(frags.len(), 10);
         let mut r = Reassembler::new(ProtoDuration::from_secs(1));
         let mut done = None;
@@ -193,7 +199,7 @@ mod tests {
 
     #[test]
     fn small_payload_is_single_fragment() {
-        let frags = fragment_payload(2, b"tiny", 1024).unwrap();
+        let frags = fragment_payload(2, &Bytes::from_static(b"tiny"), 1024).unwrap();
         assert_eq!(frags.len(), 1);
         let mut r = Reassembler::new(ProtoDuration::from_secs(1));
         let (id, idx, cnt, bytes) = parts_of(&frags).remove(0);
@@ -203,14 +209,14 @@ mod tests {
 
     #[test]
     fn empty_payload_works() {
-        let frags = fragment_payload(3, b"", 1024).unwrap();
+        let frags = fragment_payload(3, &Bytes::new(), 1024).unwrap();
         assert_eq!(frags.len(), 1);
     }
 
     #[test]
     fn out_of_order_and_duplicates_are_handled() {
         let payload: Vec<u8> = (0..5000u32).map(|i| i as u8).collect();
-        let frags = parts_of(&fragment_payload(4, &payload, 999).unwrap());
+        let frags = parts_of(&fragment_payload(4, &Bytes::from(payload.clone()), 999).unwrap());
         let mut r = Reassembler::new(ProtoDuration::from_secs(1));
         let mut order: Vec<usize> = (0..frags.len()).rev().collect();
         order.push(0); // duplicate
@@ -226,8 +232,8 @@ mod tests {
 
     #[test]
     fn interleaved_sources_do_not_collide() {
-        let a = parts_of(&fragment_payload(7, b"aaaaaaaaaa", 4).unwrap());
-        let b = parts_of(&fragment_payload(7, b"bbbbbbbbbb", 4).unwrap());
+        let a = parts_of(&fragment_payload(7, &Bytes::from_static(b"aaaaaaaaaa"), 4).unwrap());
+        let b = parts_of(&fragment_payload(7, &Bytes::from_static(b"bbbbbbbbbb"), 4).unwrap());
         let mut r = Reassembler::new(ProtoDuration::from_secs(1));
         let mut got = Vec::new();
         for ((id_a, ia, ca, pa), (id_b, ib, cb, pb)) in a.into_iter().zip(b) {
@@ -245,7 +251,7 @@ mod tests {
 
     #[test]
     fn timeout_evicts_incomplete_sets() {
-        let frags = parts_of(&fragment_payload(5, &[0u8; 4000], 1000).unwrap());
+        let frags = parts_of(&fragment_payload(5, &Bytes::from(vec![0u8; 4000]), 1000).unwrap());
         let mut r = Reassembler::new(ProtoDuration::from_millis(100));
         let (id, idx, cnt, bytes) = frags[0].clone();
         r.offer(NodeId(1), id, idx, cnt, bytes, Micros::ZERO).unwrap();
@@ -284,7 +290,47 @@ mod tests {
     }
 
     #[test]
+    fn chunks_point_into_the_payload() {
+        let payload = Bytes::from(vec![7u8; 3000]);
+        let span = payload.as_ptr_range();
+        for (_, _, _, chunk) in parts_of(&fragment_payload(6, &payload, 1000).unwrap()) {
+            assert!(span.contains(&chunk.as_ptr()), "fragment_payload copied a chunk");
+        }
+    }
+
+    #[test]
+    fn pending_sets_are_capped_across_spoofed_sources() {
+        let mut r = Reassembler::new(ProtoDuration::from_secs(5));
+        let legit = parts_of(&fragment_payload(1, &Bytes::from(vec![3u8; 2500]), 1000).unwrap());
+        let (id, idx, cnt, bytes) = legit[0].clone();
+        assert_eq!(r.offer(NodeId(1), id, idx, cnt, bytes, Micros::ZERO).unwrap(), None);
+        // Hostile first fragments, each claiming the largest count and a
+        // different source, so the per-source limit never bites.
+        let mut refused = 0;
+        for spoofed in 1000..1000 + 2 * MAX_PENDING_SETS as u32 {
+            let hostile = Bytes::from_static(b"x");
+            match r.offer(NodeId(spoofed), 7, 0, MAX_FRAGMENTS, hostile, Micros::ZERO) {
+                Ok(None) => {}
+                Err(ProtocolError::BadFragment(_)) => refused += 1,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(r.pending_count(), MAX_PENDING_SETS, "the cap holds");
+        assert_eq!(refused, MAX_PENDING_SETS + 1, "every set past the cap is refused");
+        // The legitimate set, begun before the flood, still completes.
+        let mut done = None;
+        for (id, idx, cnt, bytes) in legit.into_iter().skip(1) {
+            done = r.offer(NodeId(1), id, idx, cnt, bytes, Micros::ZERO).unwrap();
+        }
+        assert_eq!(done.unwrap().as_ref(), &[3u8; 2500][..]);
+        // Once the flood times out, new sets are accepted again.
+        r.expire(Micros::from_secs(6));
+        assert_eq!(r.pending_count(), 0);
+        assert!(r.offer(NodeId(2), 9, 0, 2, Bytes::new(), Micros::from_secs(6)).is_ok());
+    }
+
+    #[test]
     fn zero_chunk_size_is_rejected() {
-        assert!(fragment_payload(1, b"abc", 0).is_err());
+        assert!(fragment_payload(1, &Bytes::from_static(b"abc"), 0).is_err());
     }
 }

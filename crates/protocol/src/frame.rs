@@ -101,6 +101,11 @@ impl Frame {
         &self.payload
     }
 
+    /// The payload as a slice of the buffer it was decoded from.
+    pub(crate) fn payload_bytes(&self) -> &Bytes {
+        &self.payload
+    }
+
     /// Consumes the frame, returning the payload.
     pub fn into_payload(self) -> Bytes {
         self.payload
@@ -114,27 +119,19 @@ impl Frame {
     /// Serializes the frame.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.wire_len());
-        buf.put_u16_le(FRAME_MAGIC);
-        buf.put_u8(self.header.version);
-        buf.put_u8(self.header.kind.wire_tag());
-        buf.put_u32_le(self.header.src.0);
-        buf.put_u32_le(self.header.payload_len);
-        let crc = {
-            let state = crc32_update(0xFFFF_FFFF, &buf);
-            crc32_update(state, &self.payload) ^ 0xFFFF_FFFF
-        };
-        buf.put_u32_le(crc);
+        buf.put_slice(&[0; FRAME_HEADER_LEN]);
         buf.put_slice(&self.payload);
+        seal(&mut buf, self.header.kind, self.header.src);
         buf.freeze()
     }
 
-    /// Parses a frame from raw bytes, verifying magic, version, kind, length
-    /// and CRC.
+    /// Parses a frame from a received datagram, verifying magic, version,
+    /// kind, length and CRC. The payload is a slice of `input`, not a copy.
     ///
     /// # Errors
     ///
     /// Any [`FrameError`] describing the first malformed element.
-    pub fn decode(input: &[u8]) -> Result<Frame, FrameError> {
+    pub fn decode(input: &Bytes) -> Result<Frame, FrameError> {
         if input.len() < FRAME_HEADER_LEN {
             return Err(FrameError::TooShort { len: input.len() });
         }
@@ -153,25 +150,47 @@ impl Frame {
             return Err(FrameError::PayloadTooLarge(payload_len));
         }
         let stored_crc = u32::from_le_bytes([input[12], input[13], input[14], input[15]]);
-        let payload = &input[FRAME_HEADER_LEN..];
-        if payload.len() != payload_len as usize {
-            return Err(FrameError::LengthMismatch {
-                declared: payload_len,
-                actual: payload.len(),
-            });
+        let actual = input.len() - FRAME_HEADER_LEN;
+        if actual != payload_len as usize {
+            return Err(FrameError::LengthMismatch { declared: payload_len, actual });
         }
-        let computed = {
-            let state = crc32_update(0xFFFF_FFFF, &input[..12]);
-            crc32_update(state, payload) ^ 0xFFFF_FFFF
-        };
+        let computed = frame_crc(input);
         if computed != stored_crc {
             return Err(FrameError::BadCrc { stored: stored_crc, computed });
         }
         Ok(Frame {
             header: FrameHeader { version, kind, src, payload_len },
-            payload: Bytes::copy_from_slice(payload),
+            payload: input.slice(FRAME_HEADER_LEN..),
         })
     }
+}
+
+/// Fills in the reserved [`FRAME_HEADER_LEN`] bytes at the front of
+/// `frame` (whose payload follows them) and computes the CRC in place, so
+/// a message encoded straight behind its header is sealed without a copy.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds [`MAX_FRAME_PAYLOAD`], as [`Frame::new`].
+pub(crate) fn seal(frame: &mut [u8], kind: MessageKind, src: NodeId) {
+    let payload_len = frame.len() - FRAME_HEADER_LEN;
+    assert!(
+        payload_len <= MAX_FRAME_PAYLOAD,
+        "payload of {payload_len} bytes must be fragmented before framing"
+    );
+    frame[0..2].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+    frame[2] = PROTOCOL_VERSION;
+    frame[3] = kind.wire_tag();
+    frame[4..8].copy_from_slice(&src.0.to_le_bytes());
+    frame[8..12].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    let crc = frame_crc(frame);
+    frame[12..16].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// CRC over the header fields before the CRC slot, then the payload.
+fn frame_crc(frame: &[u8]) -> u32 {
+    let state = crc32_update(0xFFFF_FFFF, &frame[..12]);
+    crc32_update(state, &frame[FRAME_HEADER_LEN..]) ^ 0xFFFF_FFFF
 }
 
 #[cfg(test)]
@@ -192,6 +211,23 @@ mod tests {
     }
 
     #[test]
+    fn decoded_payload_points_into_the_received_buffer() {
+        let wire = sample().encode();
+        let back = Frame::decode(&wire).unwrap();
+        let inside = wire[FRAME_HEADER_LEN..].as_ptr();
+        assert_eq!(back.payload().as_ptr(), inside, "Frame::decode copied the payload");
+    }
+
+    #[test]
+    fn seal_matches_a_separately_computed_crc() {
+        let wire = sample().encode();
+        let mut crc_input = wire[..12].to_vec();
+        crc_input.extend_from_slice(&wire[FRAME_HEADER_LEN..]);
+        let stored = u32::from_le_bytes([wire[12], wire[13], wire[14], wire[15]]);
+        assert_eq!(stored, crate::crc32(&crc_input));
+    }
+
+    #[test]
     fn empty_payload_roundtrips() {
         let f = Frame::new(NodeId(0), MessageKind::Bye, Bytes::new());
         let back = Frame::decode(&f.encode()).unwrap();
@@ -204,7 +240,7 @@ mod tests {
         let mut wire = sample().encode().to_vec();
         wire[0] ^= 0xFF;
         assert_eq!(
-            Frame::decode(&wire),
+            Frame::decode(&Bytes::from(wire.clone())),
             Err(FrameError::BadMagic(u16::from_le_bytes([wire[0], wire[1]])))
         );
     }
@@ -213,27 +249,30 @@ mod tests {
     fn rejects_bad_version() {
         let mut wire = sample().encode().to_vec();
         wire[2] = 99;
-        assert_eq!(Frame::decode(&wire), Err(FrameError::BadVersion(99)));
+        assert_eq!(Frame::decode(&Bytes::from(wire)), Err(FrameError::BadVersion(99)));
     }
 
     #[test]
     fn rejects_unknown_kind() {
         let mut wire = sample().encode().to_vec();
         wire[3] = 0xEF;
-        assert_eq!(Frame::decode(&wire), Err(FrameError::BadKind(0xEF)));
+        assert_eq!(Frame::decode(&Bytes::from(wire)), Err(FrameError::BadKind(0xEF)));
     }
 
     #[test]
     fn rejects_truncation_and_extension() {
         let wire = sample().encode();
-        assert!(matches!(Frame::decode(&wire[..10]), Err(FrameError::TooShort { .. })));
+        assert!(matches!(Frame::decode(&wire.slice(..10)), Err(FrameError::TooShort { .. })));
         assert!(matches!(
-            Frame::decode(&wire[..wire.len() - 1]),
+            Frame::decode(&wire.slice(..wire.len() - 1)),
             Err(FrameError::LengthMismatch { .. })
         ));
         let mut extended = wire.to_vec();
         extended.push(0);
-        assert!(matches!(Frame::decode(&extended), Err(FrameError::LengthMismatch { .. })));
+        assert!(matches!(
+            Frame::decode(&Bytes::from(extended)),
+            Err(FrameError::LengthMismatch { .. })
+        ));
     }
 
     #[test]
@@ -244,7 +283,7 @@ mod tests {
         for i in [4usize, 5, 6, 7, 16, 17, wire.len() - 1] {
             let mut w = wire.clone();
             w[i] ^= 0x01;
-            assert!(Frame::decode(&w).is_err(), "corruption at byte {i} undetected");
+            assert!(Frame::decode(&Bytes::from(w)).is_err(), "corruption at byte {i} undetected");
         }
     }
 

@@ -41,7 +41,7 @@ pub mod messages;
 pub mod mftp;
 mod time;
 
-pub use crc::crc32;
+pub use crc::{crc32, crc32_update};
 pub use error::{FrameError, ProtocolError};
 pub use fec::{FecConfig, FecRate};
 pub use frame::{Frame, FrameHeader, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION};

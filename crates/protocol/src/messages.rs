@@ -10,7 +10,7 @@ use bytes::{Bytes, BytesMut};
 use marea_encoding::{typedesc, DecodeError, WireReader, WireWriter};
 use marea_presentation::{DataType, Name};
 
-use crate::frame::Frame;
+use crate::frame::{seal, Frame, FRAME_HEADER_LEN};
 use crate::ids::{GroupId, NodeId, RequestId, TransferId};
 
 /// Maximum bytes accepted for any embedded blob while decoding messages.
@@ -563,6 +563,17 @@ pub enum Message {
     AnnounceRequest,
 }
 
+/// One message encoded for a link with a datagram size limit, by
+/// [`Message::encode_for_mtu`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Encoded {
+    /// A sealed frame within the limit, ready to send.
+    Frame(Bytes),
+    /// The tagged encoding of a message too large for one frame, to be
+    /// split with [`fragment_payload`](crate::fragment::fragment_payload).
+    Oversized(Bytes),
+}
+
 impl Message {
     /// The wire kind of this message.
     pub fn kind(&self) -> MessageKind {
@@ -598,46 +609,108 @@ impl Message {
 
     /// Serializes the message body (without frame header).
     pub fn encode_payload(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        let mut w = WireWriter::new(&mut buf);
-        self.write_body(&mut w);
-        buf.freeze()
+        self.encode_behind(0).freeze()
     }
 
     /// Serializes the message *with* a leading kind byte — the format used
     /// inside [`Message::RelData`] envelopes and fragments.
     pub fn encode_tagged(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.extend_from_slice(&[self.kind().wire_tag()]);
-        let mut w = WireWriter::new(&mut buf);
-        self.write_body(&mut w);
+        let mut buf = self.encode_behind(1);
+        buf[0] = self.kind().wire_tag();
         buf.freeze()
     }
 
-    /// Inverse of [`Message::encode_tagged`].
+    /// Encodes the message once, straight into a sealed frame from `src`:
+    /// the body is written behind a reserved header, which is then filled
+    /// in and CRC'd in place. Byte-identical to
+    /// `Frame::new(src, self.kind(), self.encode_payload()).encode()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the body exceeds [`MAX_FRAME_PAYLOAD`](crate::MAX_FRAME_PAYLOAD);
+    /// such messages are fragmented first (see [`Message::encode_for_mtu`]).
+    pub fn encode_frame(&self, src: NodeId) -> Bytes {
+        let mut buf = self.encode_behind(FRAME_HEADER_LEN);
+        seal(&mut buf, self.kind(), src);
+        buf.freeze()
+    }
+
+    /// Encodes the message once for a link whose datagrams carry at most
+    /// `mtu` bytes: a sealed frame when it fits, else the tagged encoding
+    /// for the caller to fragment (a slice of the same buffer, whose byte
+    /// in front of the body becomes the kind tag).
+    pub fn encode_for_mtu(&self, src: NodeId, mtu: usize) -> Encoded {
+        let mut buf = self.encode_behind(FRAME_HEADER_LEN);
+        if buf.len() <= mtu {
+            seal(&mut buf, self.kind(), src);
+            return Encoded::Frame(buf.freeze());
+        }
+        buf[FRAME_HEADER_LEN - 1] = self.kind().wire_tag();
+        Encoded::Oversized(buf.freeze().slice(FRAME_HEADER_LEN - 1..))
+    }
+
+    /// The body written behind `reserved` zero bytes, in one buffer sized
+    /// up front for the blob-carrying messages of the hot paths.
+    fn encode_behind(&self, reserved: usize) -> BytesMut {
+        let mut buf = BytesMut::with_capacity(reserved + self.body_capacity());
+        buf.extend_from_slice(&[0; FRAME_HEADER_LEN][..reserved]);
+        self.write_body(&mut WireWriter::new(&mut buf));
+        buf
+    }
+
+    /// Buffer capacity for the body: the embedded name and blob plus the
+    /// most the other fields of a blob-carrying message take (47 bytes of
+    /// varints, tags and length prefixes). Control messages with long
+    /// names or catalogues grow the buffer instead.
+    fn body_capacity(&self) -> usize {
+        const FIXED: usize = 48;
+        FIXED
+            + match self {
+                Message::VarSample { name, payload, .. }
+                | Message::EventData { name, payload, .. }
+                | Message::CallRequest { function: name, payload, .. } => {
+                    name.as_str().len() + payload.len()
+                }
+                Message::CallReply { payload, .. }
+                | Message::FileChunk { payload, .. }
+                | Message::Fragment { payload, .. }
+                | Message::RelData { payload, .. }
+                | Message::FecShard { payload, .. } => payload.len(),
+                _ => 0,
+            }
+    }
+
+    /// Inverse of [`Message::encode_tagged`]. Embedded blobs are slices of
+    /// `bytes`, not copies.
     ///
     /// # Errors
     ///
     /// [`DecodeError`] on malformed input.
-    pub fn decode_tagged(bytes: &[u8]) -> Result<Message, DecodeError> {
+    pub fn decode_tagged(bytes: &Bytes) -> Result<Message, DecodeError> {
         let mut r = WireReader::new(bytes);
         let tag = r.get_u8()?;
         let kind = MessageKind::from_wire_tag(tag).ok_or(DecodeError::InvalidTag(tag))?;
-        let msg = Self::read_body(kind, &mut r)?;
-        if !r.is_empty() {
-            return Err(DecodeError::TrailingBytes { remaining: r.remaining() });
-        }
-        Ok(msg)
+        Self::read_all(kind, bytes, r)
     }
 
     /// Deserializes a message of known `kind` from a frame payload.
+    /// Embedded blobs are slices of `bytes`, not copies.
     ///
     /// # Errors
     ///
     /// [`DecodeError`] on malformed or trailing input.
-    pub fn decode_payload(kind: MessageKind, bytes: &[u8]) -> Result<Message, DecodeError> {
-        let mut r = WireReader::new(bytes);
-        let msg = Self::read_body(kind, &mut r)?;
+    pub fn decode_payload(kind: MessageKind, bytes: &Bytes) -> Result<Message, DecodeError> {
+        Self::read_all(kind, bytes, WireReader::new(bytes))
+    }
+
+    /// Reads the body of a `kind` message from `r`, a reader over `src`,
+    /// and rejects trailing bytes.
+    fn read_all(
+        kind: MessageKind,
+        src: &Bytes,
+        mut r: WireReader<'_>,
+    ) -> Result<Message, DecodeError> {
+        let msg = Self::read_body(kind, src, &mut r)?;
         if !r.is_empty() {
             return Err(DecodeError::TrailingBytes { remaining: r.remaining() });
         }
@@ -655,7 +728,7 @@ impl Message {
     ///
     /// [`DecodeError`] if the payload does not parse as the header's kind.
     pub fn from_frame(frame: &Frame) -> Result<Message, DecodeError> {
-        Self::decode_payload(frame.header().kind, frame.payload())
+        Self::decode_payload(frame.header().kind, frame.payload_bytes())
     }
 
     fn write_body(&self, w: &mut WireWriter<'_>) {
@@ -800,7 +873,11 @@ impl Message {
         }
     }
 
-    fn read_body(kind: MessageKind, r: &mut WireReader<'_>) -> Result<Message, DecodeError> {
+    fn read_body(
+        kind: MessageKind,
+        src: &Bytes,
+        r: &mut WireReader<'_>,
+    ) -> Result<Message, DecodeError> {
         Ok(match kind {
             MessageKind::Hello => Message::Hello {
                 container: read_name(r)?,
@@ -883,7 +960,7 @@ impl Message {
                 validity_us: r.get_varint()?,
                 trace: r.get_varint()?,
                 codec: r.get_u8()?,
-                payload: read_blob(r)?,
+                payload: read_blob(r, src)?,
             },
             MessageKind::EventData => Message::EventData {
                 name: read_name(r)?,
@@ -891,7 +968,7 @@ impl Message {
                 stamp_us: r.get_varint()?,
                 trace: r.get_varint()?,
                 codec: r.get_u8()?,
-                payload: read_blob(r)?,
+                payload: read_blob(r, src)?,
             },
             MessageKind::CallRequest => Message::CallRequest {
                 request: RequestId(r.get_varint()?),
@@ -899,7 +976,7 @@ impl Message {
                 target_seq: read_u32(r)?,
                 trace: r.get_varint()?,
                 codec: r.get_u8()?,
-                payload: read_blob(r)?,
+                payload: read_blob(r, src)?,
             },
             MessageKind::CallReply => {
                 let request = RequestId(r.get_varint()?);
@@ -910,7 +987,7 @@ impl Message {
                     status,
                     trace: r.get_varint()?,
                     codec: r.get_u8()?,
-                    payload: read_blob(r)?,
+                    payload: read_blob(r, src)?,
                 }
             }
             MessageKind::FileAnnounce => Message::FileAnnounce {
@@ -929,7 +1006,7 @@ impl Message {
                 transfer: TransferId(r.get_varint()?),
                 revision: read_u32(r)?,
                 index: read_u32(r)?,
-                payload: read_blob(r)?,
+                payload: read_blob(r, src)?,
             },
             MessageKind::FileQuery => {
                 Message::FileQuery { transfer: TransferId(r.get_varint()?), revision: read_u32(r)? }
@@ -957,12 +1034,12 @@ impl Message {
                 msg_id: r.get_varint()?,
                 index: read_u32(r)?,
                 count: read_u32(r)?,
-                payload: read_blob(r)?,
+                payload: read_blob(r, src)?,
             },
             MessageKind::RelData => Message::RelData {
                 channel: r.get_u16_le()?,
                 seq: r.get_varint()?,
-                payload: read_blob(r)?,
+                payload: read_blob(r, src)?,
             },
             MessageKind::RelAck => Message::RelAck {
                 channel: r.get_u16_le()?,
@@ -983,7 +1060,7 @@ impl Message {
                 index: r.get_u8()?,
                 k: r.get_u8()?,
                 r: r.get_u8()?,
-                payload: read_blob(r)?,
+                payload: read_blob(r, src)?,
             },
             MessageKind::AnnounceDigest => Message::AnnounceDigest {
                 incarnation: r.get_varint()?,
@@ -1073,8 +1150,11 @@ fn read_name(r: &mut WireReader<'_>) -> Result<Name, DecodeError> {
     Name::new(s).map_err(|_| DecodeError::InvalidName)
 }
 
-fn read_blob(r: &mut WireReader<'_>) -> Result<Bytes, DecodeError> {
-    Ok(Bytes::copy_from_slice(r.get_len_prefixed(MAX_EMBEDDED)?))
+/// A length-prefixed blob as a slice of `src`, the buffer `r` reads.
+fn read_blob(r: &mut WireReader<'_>, src: &Bytes) -> Result<Bytes, DecodeError> {
+    let len = r.get_len_prefixed(MAX_EMBEDDED)?.len();
+    let end = r.position();
+    Ok(src.slice(end - len..end))
 }
 
 fn read_u32(r: &mut WireReader<'_>) -> Result<u32, DecodeError> {
@@ -1255,6 +1335,49 @@ mod tests {
     }
 
     #[test]
+    fn encode_frame_matches_the_two_step_encoding() {
+        for msg in sample_messages() {
+            let two_step = Frame::new(NodeId(11), msg.kind(), msg.encode_payload()).encode();
+            assert_eq!(msg.encode_frame(NodeId(11)), two_step, "{:?}", msg.kind());
+            assert_eq!(msg.encode_for_mtu(NodeId(11), two_step.len()), Encoded::Frame(two_step));
+        }
+    }
+
+    #[test]
+    fn oversized_encoding_is_the_tagged_encoding() {
+        for msg in sample_messages() {
+            let frame_len = msg.encode_frame(NodeId(2)).len();
+            assert_eq!(
+                msg.encode_for_mtu(NodeId(2), frame_len - 1),
+                Encoded::Oversized(msg.encode_tagged()),
+                "{:?}",
+                msg.kind()
+            );
+        }
+    }
+
+    #[test]
+    fn decoded_blobs_point_into_the_received_buffer() {
+        let inner = sample_messages()
+            .into_iter()
+            .find(|m| matches!(m, Message::VarSample { .. }))
+            .expect("fixture has a VarSample");
+        let envelope = Message::RelData { channel: 1, seq: 3, payload: inner.encode_tagged() };
+        let wire = envelope.encode_frame(NodeId(4));
+        let span = wire.as_ptr_range();
+        let frame = Frame::decode(&wire).unwrap();
+        let Ok(Message::RelData { payload: tagged, .. }) = Message::from_frame(&frame) else {
+            panic!("RelData roundtrips");
+        };
+        assert!(span.contains(&tagged.as_ptr()), "RelData blob was copied");
+        let Ok(Message::VarSample { payload, .. }) = Message::decode_tagged(&tagged) else {
+            panic!("VarSample roundtrips");
+        };
+        assert!(span.contains(&payload.as_ptr()), "VarSample blob was copied");
+        assert_eq!(payload, Bytes::from_static(&[1, 2, 3]));
+    }
+
+    #[test]
     fn every_message_roundtrips_via_tagged() {
         for msg in sample_messages() {
             let bytes = msg.encode_tagged();
@@ -1307,7 +1430,7 @@ mod tests {
         let mut bytes = Message::Bye.encode_payload().to_vec();
         bytes.push(1);
         assert!(matches!(
-            Message::decode_payload(MessageKind::Bye, &bytes),
+            Message::decode_payload(MessageKind::Bye, &Bytes::from(bytes)),
             Err(DecodeError::TrailingBytes { .. })
         ));
     }
@@ -1322,7 +1445,7 @@ mod tests {
             // Cutting the last byte must fail (every encoding is minimal).
             let cut = &bytes[..bytes.len() - 1];
             assert!(
-                Message::decode_payload(msg.kind(), cut).is_err(),
+                Message::decode_payload(msg.kind(), &Bytes::copy_from_slice(cut)).is_err(),
                 "truncated {:?} decoded",
                 msg.kind()
             );
@@ -1337,7 +1460,7 @@ mod tests {
         w.put_str("9bad name");
         w.put_varint(0);
         assert_eq!(
-            Message::decode_payload(MessageKind::Hello, &buf),
+            Message::decode_payload(MessageKind::Hello, &buf.freeze()),
             Err(DecodeError::InvalidName)
         );
     }
@@ -1371,7 +1494,7 @@ mod tests {
         w.put_varint(1); // incarnation
         w.put_varint(1_000_000); // entry count over limit
         assert!(matches!(
-            Message::decode_payload(MessageKind::Announce, &buf),
+            Message::decode_payload(MessageKind::Announce, &buf.freeze()),
             Err(DecodeError::LengthOverflow { .. })
         ));
     }

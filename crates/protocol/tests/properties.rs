@@ -3,7 +3,8 @@
 //! These drive the ARQ and MFTP machinery through adversarial loss/reorder
 //! schedules and assert the end-to-end invariants the middleware relies on:
 //! exactly-once in-order delivery for the reliable channel, and bit-exact
-//! file reconstruction for the bulk transfer protocol.
+//! file reconstruction for the bulk transfer protocol. The frame check's
+//! sliced CRC-32 is held against a bit-at-a-time reference.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -13,10 +14,68 @@ use marea_protocol::arq::{ArqConfig, ArqReceiver, ArqSender};
 use marea_protocol::fec::{FecRate, FecReceiver, FecSender};
 use marea_protocol::fragment::{fragment_payload, Reassembler};
 use marea_protocol::mftp::{FileReceiver, FileSender, RevisionPolicy};
-use marea_protocol::{Frame, GroupId, Message, Micros, NodeId, ProtoDuration, TransferId};
+use marea_protocol::{
+    crc32, crc32_update, Frame, GroupId, Message, Micros, NodeId, ProtoDuration, TransferId,
+};
+
+/// CRC-32 one bit at a time with the reflected polynomial 0xEDB88320:
+/// the definition itself, sharing no table with the implementation.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 { (c >> 1) ^ 0xEDB8_8320 } else { c >> 1 };
+        }
+    }
+    !c
+}
+
+/// `len` deterministic bytes that are not a repeating pattern.
+fn noise(len: usize) -> Vec<u8> {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 56) as u8
+        })
+        .collect()
+}
+
+#[test]
+fn crc_matches_bitwise_reference_at_every_short_length_and_offset() {
+    let buf = noise(64 + 8);
+    for len in 0..=64 {
+        for offset in 0..8 {
+            let data = &buf[offset..offset + len];
+            assert_eq!(crc32(data), crc32_bitwise(data), "len {len} offset {offset}");
+        }
+    }
+}
+
+#[test]
+fn crc_streaming_matches_oneshot_at_every_split() {
+    let data = noise(100);
+    let whole = crc32_bitwise(&data);
+    for split in 0..=data.len() {
+        let state = crc32_update(0xFFFF_FFFF, &data[..split]);
+        assert_eq!(crc32_update(state, &data[split..]) ^ 0xFFFF_FFFF, whole, "split at {split}");
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The sliced CRC equals the bitwise definition on random inputs up to
+    /// a jumbo datagram, at every alignment of the 8-byte steps.
+    #[test]
+    fn crc_matches_bitwise_reference(
+        data in proptest::collection::vec(any::<u8>(), 0..9001),
+        offset in 0usize..8,
+    ) {
+        let start = offset.min(data.len());
+        prop_assert_eq!(crc32(&data[start..]), crc32_bitwise(&data[start..]));
+    }
 
     /// ARQ delivers every message exactly once, in order, under arbitrary
     /// per-transmission loss (as long as loss is not total) — the §4.2
@@ -415,7 +474,7 @@ proptest! {
         shuffle in any::<prop::sample::Index>(),
         dup in any::<prop::sample::Index>(),
     ) {
-        let frags = fragment_payload(1, &payload, chunk).unwrap();
+        let frags = fragment_payload(1, &Bytes::from(payload.clone()), chunk).unwrap();
         let mut order: Vec<usize> = (0..frags.len()).collect();
         // Rotate by a generated amount (cheap deterministic permutation).
         let rot = shuffle.index(frags.len().max(1));
@@ -443,7 +502,7 @@ proptest! {
     /// round-trip bit-exactly.
     #[test]
     fn frame_fuzz_and_roundtrip(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = Frame::decode(&bytes); // must not panic
+        let _ = Frame::decode(&Bytes::from(bytes.clone())); // must not panic
         let frame = Frame::new(NodeId(1), marea_protocol::MessageKind::VarSample,
             Bytes::from(bytes.clone()));
         let wire = frame.encode();
@@ -454,7 +513,7 @@ proptest! {
     /// Arbitrary bytes never panic the tagged-message parser.
     #[test]
     fn message_fuzz_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = Message::decode_tagged(&bytes);
+        let _ = Message::decode_tagged(&Bytes::from(bytes));
     }
 
     /// A corrupted frame is always rejected (CRC) — flip any single bit.
@@ -469,6 +528,6 @@ proptest! {
         let mut wire = frame.encode().to_vec();
         let i = byte.index(wire.len());
         wire[i] ^= 1 << bit;
-        prop_assert!(Frame::decode(&wire).is_err(), "bit flip at {}:{} accepted", i, bit);
+        prop_assert!(Frame::decode(&Bytes::from(wire)).is_err(), "bit flip at {}:{} accepted", i, bit);
     }
 }

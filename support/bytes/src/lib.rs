@@ -4,32 +4,37 @@
 //! vendors the small API subset MAREA actually uses: a cheaply-clonable
 //! immutable byte buffer ([`Bytes`]), an append-only builder
 //! ([`BytesMut`]) and the [`BufMut`] writer trait. Semantics match the
-//! real crate for this subset; swap the path dependency for the upstream
-//! crate when networked builds are available.
+//! real crate for this subset, including that converting a `Vec<u8>` (or
+//! freezing a `BytesMut`) takes the vector over without copying it; swap
+//! the path dependency for the upstream crate when networked builds are
+//! available.
 
 #![forbid(unsafe_code)]
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::Arc;
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
+use std::sync::{Arc, OnceLock};
 
 /// A cheaply clonable, immutable contiguous slice of memory.
 ///
 /// Internally a reference-counted vector plus a window, so `clone` and
-/// `slice` are O(1).
+/// `slice` are O(1), and building one from a `Vec<u8>` keeps that
+/// vector's allocation.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// Creates an empty `Bytes`.
+    /// Creates an empty `Bytes` (shares one process-wide empty buffer, so
+    /// it does not allocate).
     pub fn new() -> Self {
-        Bytes { data: Arc::from(&[][..]), start: 0, end: 0 }
+        static EMPTY: OnceLock<Arc<Vec<u8>>> = OnceLock::new();
+        Bytes { data: Arc::clone(EMPTY.get_or_init(|| Arc::new(Vec::new()))), start: 0, end: 0 }
     }
 
     /// Creates `Bytes` from a static slice.
@@ -107,9 +112,9 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes `v` over without copying its contents.
     fn from(v: Vec<u8>) -> Self {
-        let data: Arc<[u8]> = Arc::from(v);
-        Bytes { start: 0, end: data.len(), data }
+        Bytes { start: 0, end: v.len(), data: Arc::new(v) }
     }
 }
 
@@ -243,7 +248,7 @@ impl BytesMut {
         self.data.extend_from_slice(extend);
     }
 
-    /// Converts into an immutable [`Bytes`].
+    /// Converts into an immutable [`Bytes`] without copying.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
@@ -254,6 +259,12 @@ impl Deref for BytesMut {
 
     fn deref(&self) -> &[u8] {
         &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 }
 
@@ -346,6 +357,26 @@ mod tests {
         let b = Bytes::from(vec![1, 2]);
         assert_eq!(a, b);
         assert_eq!(a, vec![1u8, 2]);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_allocation() {
+        let v = vec![1u8, 2, 3];
+        let ptr = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), ptr, "Bytes::from(Vec) copied");
+        let mut m = BytesMut::with_capacity(64);
+        m.extend_from_slice(b"frame");
+        let ptr = m.as_ptr();
+        let frozen = m.freeze();
+        assert_eq!(frozen.as_ptr(), ptr, "BytesMut::freeze copied");
+        assert_eq!(frozen.slice(1..).as_ptr(), ptr.wrapping_add(1));
+    }
+
+    #[test]
+    fn bytes_mut_is_writable_in_place() {
+        let mut m = BytesMut::from(vec![0u8; 4]);
+        m[1..3].copy_from_slice(&[7, 8]);
+        assert_eq!(m.freeze().as_ref(), &[0, 7, 8, 0]);
     }
 
     #[test]
